@@ -41,7 +41,7 @@ def main() -> int:
         audits.bijection_probe((1, 2, 3, 5), args.max_size, args.bound, workers=args.workers)
     )
     results += list(audits.link_probe(args.max_size, min(args.bound, 2), workers=args.workers))
-    results += list(audits.rescale_probe((2, 3, 5), 6, 2, workers=args.workers))
+    results += list(audits.rescale_probe((2, 3, 5), 6, 2))
     results += audits.even_examples_probe()
 
     lines = [

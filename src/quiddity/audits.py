@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Quiddity, canonical_coeffs, continuant_euler, continuant_rec, product_matrix
+from .core import (
+    Quiddity,
+    canonical_coeffs,
+    continuant_euler,
+    continuant_rec,
+    continuant_windows_match,
+    product_matrix,
+)
 from .even import MODE_EQUIV, is_evenly_reducible, phi1_link_check
 from .maps import phi, phi_inverse, phi_preserves_irreducibility_check, rescale_even
 from .rings import GeneratorSpec, Int, Poly, Quad
@@ -33,7 +40,7 @@ def expected_irreducible_classes(gen: GeneratorSpec, min_size, max_size, bound):
     the zero generator and the formal symbol; <i> itself has no closed list
     and raises.
     """
-    kind, ring_param, _scale = gen._ring()
+    kind, ring_param, _scale = gen.ring
     fam, k = gen.family, gen.param
     candidates: list[tuple[int, ...]] = []
 
@@ -165,7 +172,7 @@ def link_probe(max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
     )
 
 
-def rescale_probe(ks, max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
+def rescale_probe(ks, max_size, bound):
     """Exhaustive two-way transfer check at small sizes: a coefficient tuple
     verifies over <sqrt(k)> exactly when its rescaling verifies over Z."""
     from itertools import product as iproduct
@@ -198,14 +205,7 @@ def continuant_probe(samples=400, seed=20260809):
         t = tuple(make(rng) for _ in range(rng.randint(1, 9)))
         if continuant_rec(t) != continuant_euler(t):
             return [ProbeResult("continuant-routes", False, f"disagree on {t!r}")]
-        P = product_matrix(t)
-        e22 = Int(0) if len(t) == 1 else -continuant_rec(t[1:-1])
-        if not (
-            P.e11 == continuant_rec(t)
-            and P.e21 == continuant_rec(t[:-1])
-            and P.e12 == -continuant_rec(t[1:])
-            and P.e22 == e22
-        ):
+        if not continuant_windows_match(t, product_matrix(t)):
             return [ProbeResult("continuant-windows", False, f"disagree on {t!r}")]
     return [ProbeResult("continuant-routes", True, f"{samples} random tuples")]
 
@@ -239,6 +239,6 @@ def run_selftest(full: bool = False, workers: int = 1):
     results += list(small_entries_probe(gens, max_size, bound, workers=workers))
     results += list(bijection_probe((1, 2, 3, 5) if full else (1, 2), max_size, bound, workers=workers))
     results += list(link_probe(max_size, bound, workers=workers))
-    results += list(rescale_probe((2, 3) if not full else (2, 3, 5), 6, 2, workers=workers))
+    results += list(rescale_probe((2, 3) if not full else (2, 3, 5), 6, 2))
     results += even_examples_probe()
     return results

@@ -48,14 +48,21 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _default_work_limit() -> int:
-    raw = os.environ.get(WORK_LIMIT_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_WORK_LIMIT
+def _default_work_limit() -> str:
+    """The --work-limit default as text: argparse converts a string default
+    with the option's type, so a malformed environment value is a usage
+    error (exit 2) exactly like a malformed flag."""
+    return os.environ.get(WORK_LIMIT_ENV) or str(DEFAULT_WORK_LIMIT)
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
@@ -257,20 +264,19 @@ def _cmd_rescale(args, out) -> int:
     k = gen.param
     coeffs = _parse_tuple_arg(args.tuple, gen)
     z = GeneratorSpec("int", 1)
-    if args.inverse:
-        source = rescale_even_inverse(coeffs, k)
-        in_sign = is_quiddity(tuple(z.embed(c) for c in coeffs))
-        out_sign = is_quiddity(tuple(gen.embed(c) for c in source))
-        result = {"input": list(coeffs), "output": list(source),
-                  "input_sign": in_sign, "output_sign": out_sign}
-        line = f"{tuple(coeffs)} over z -> coefficients {tuple(source)} over {gen.to_string()}"
-    else:
-        image = rescale_even(coeffs, k)
-        in_sign = is_quiddity(tuple(gen.embed(c) for c in coeffs))
-        out_sign = is_quiddity(tuple(z.embed(c) for c in image))
-        result = {"input": list(coeffs), "output": list(image),
-                  "input_sign": in_sign, "output_sign": out_sign}
-        line = f"coefficients {tuple(coeffs)} over {gen.to_string()} -> {tuple(image)} over z"
+    src, dst = (z, gen) if args.inverse else (gen, z)
+    mapped = (rescale_even_inverse if args.inverse else rescale_even)(coeffs, k)
+    result = {
+        "input": list(coeffs),
+        "output": list(mapped),
+        "input_sign": is_quiddity(tuple(src.embed(c) for c in coeffs)),
+        "output_sign": is_quiddity(tuple(dst.embed(c) for c in mapped)),
+    }
+
+    def side(g, t):
+        return f"{t} over z" if g is z else f"coefficients {t} over {gen.to_string()}"
+
+    line = f"{side(src, coeffs)} -> {side(dst, mapped)}"
     config = {"command": "rescale", "generator": gen.descriptor(), "inverse": args.inverse}
     _emit_object(args, {"config": config, **result}, out, [line])
     return EXIT_OK
@@ -371,7 +377,7 @@ def _add_common(sub, gen=True, fmt=True, workers=True, work_limit=True):
     if fmt:
         sub.add_argument("--format", choices=("json", "jsonl", "csv", "text"), default="json")
     if workers:
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=_worker_count, default=1)
     if work_limit:
         sub.add_argument("--work-limit", type=int, default=_default_work_limit())
 
@@ -440,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("selftest", help="falsification probes and audits")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

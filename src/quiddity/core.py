@@ -112,7 +112,9 @@ def continuant_euler(entries, size_limit: int = DEFAULT_EXPANSION_LIMIT) -> Ring
     return total
 
 
-def _continuant_windows(t, P: Mat2) -> bool:
+def continuant_windows_match(t, P: Mat2) -> bool:
+    """True when the product matrix P of t carries the four continuant
+    windows K(t), -K(t[1:]), K(t[:-1]), -K(t[1:-1]) row by row."""
     n = len(t)
     e22_expected = Int(0) if n == 1 else -continuant_rec(t[1:-1])
     return (
@@ -134,7 +136,7 @@ def is_quiddity(entries, cross_check: bool = False) -> int | None:
     if not t:
         raise ValueError("empty tuple")
     P = product_matrix(t)
-    if cross_check and not _continuant_windows(t, P):
+    if cross_check and not continuant_windows_match(t, P):
         raise AssertionError(f"continuant windows disagree with the product for {t!r}")
     if not P.e12.is_zero() or not P.e21.is_zero():
         return None

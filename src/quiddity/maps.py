@@ -76,8 +76,11 @@ def rescale_even(coeffs, k: int):
     """(k_1, k_2, k_3, k_4, ...) -> (k_1, k*k_2, k_3, k*k_4, ...).
 
     For k >= 1 the output is a verified integer tuple exactly when the input
-    coefficients verify over <sqrt(k)>; k = 0 kills the transfer (the zero
-    generator forgets the coefficients), so it is rejected.
+    coefficients verify over <sqrt(k)>, with the same sign: this is the
+    quadratic lemma in solve._position_scales with D = k, which the
+    enumerator runs on (its even-size argument needs only w != 0, so square
+    k is covered too).  k = 0 kills the transfer (the zero generator forgets
+    the coefficients), so it is rejected.
     """
     t = tuple(coeffs)
     if len(t) % 2:

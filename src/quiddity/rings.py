@@ -338,8 +338,11 @@ class GeneratorSpec:
         if self.family == "alpha" and self.param != 0:
             raise GeneratorSyntaxError("alpha generator takes no parameter")
 
-    # ring resolution: ("int", s, 1) | ("quad", d, scale) | ("poly", 0, 1)
-    def _ring(self):
+    @property
+    def ring(self):
+        """The concrete ring behind w: ("int", s, 1) for w = s,
+        ("quad", d, scale) for w = scale*sqrt(d) with d non-square (d < 0
+        for imaginary roots), or ("poly", 0, 1) for w = X."""
         if self.family == "int":
             return ("int", self.param, 1)
         if self.family == "sqrt":
@@ -359,7 +362,7 @@ class GeneratorSpec:
 
     def embed(self, m: int) -> RingElem:
         """The element m*w."""
-        kind, p, scale = self._ring()
+        kind, p, scale = self.ring
         if kind == "int":
             return Int(m * p)
         if kind == "quad":
@@ -370,7 +373,7 @@ class GeneratorSpec:
         """Coefficient m with x = m*w, or None when x is outside the subgroup."""
         if isinstance(x, int):
             x = Int(x)
-        kind, p, scale = self._ring()
+        kind, p, scale = self.ring
         r = x.rational_value()
         m = None
         if r == 0:
@@ -441,7 +444,7 @@ class GeneratorSpec:
         return base + ("+nonneg" if self.nonneg else "")
 
     def generator_label(self) -> str:
-        kind, p, scale = self._ring()
+        kind, p, scale = self.ring
         if kind == "int":
             return str(p)
         if kind == "quad":

@@ -2,11 +2,16 @@
 of the last two entries, exhaustive enumeration, the exact splice
 decomposition test, and irreducible classification.
 
-The enumeration core walks the first n-2 coefficients depth first while
-accumulating the ordered matrix product as flat integer state (one small
-tuple per ring kind), then completes the final two entries in closed form.
-Everything it emits is a plain Quiddity that re-verifies through the generic
-matrix route, and the test suite holds the two routes against each other.
+The enumeration core is one integer walker for every ring.  Each position
+gets an integer scale (see _position_scales and its two lemmas: the
+alternating scales 1, D, 1, D, ... for a quadratic generator with w**2 = D,
+and a Kronecker substitution X := M for the formal symbol), so that a
+coefficient tuple solves over the generator exactly when the scaled integer
+tuple solves over Z.  The walker visits the first n-2 coefficients depth
+first while accumulating the ordered product as four plain integers, then
+completes the final two entries in closed form.  Everything it emits is a
+plain Quiddity that re-verifies through the generic matrix route, and the
+test suite holds the two routes against each other.
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
@@ -87,7 +92,7 @@ def solve_tail2(P: Mat2, gen: GeneratorSpec):
 def _coeff_values(gen: GeneratorSpec, bound: int):
     lo = 0 if gen.nonneg else -bound
     vals = list(range(lo, bound + 1))
-    kind, p, _ = gen._ring()
+    kind, p, _ = gen.ring
     if kind == "int" and p == 0:
         vals = [0]  # the zero generator maps every coefficient to one element
     return vals
@@ -102,18 +107,93 @@ def predicted_nodes(num_values: int, size: int) -> int:
     return total
 
 
-def _shard_int(s, vals, n, bound, nonneg, first, emit):
+def _position_scales(gen: GeneratorSpec, n: int, bound: int):
+    """Integer scales (t_1, ..., t_n) such that coefficients (c_1, ..., c_n)
+    with |c_j| <= bound solve over gen exactly when the integers
+    (t_1*c_1, ..., t_n*c_n) solve over Z, with the same sign; None when
+    size n has no solutions at all.
+
+    Integer generator w = s: the entries are the integers s*c_j, so every
+    position carries s (s = 0 is the zero generator, handled by the walker).
+
+    Lemma (quadratic, w**2 = D with D = p*scale**2 from the ring).  A
+    continuant of L entries c_j*w is a signed sum of products of L - 2*i
+    survivors, so it lies in Z when L is even and in Z*w when L is odd.  Put
+    x_j = w at odd positions and x_j = 1/w = w/D at even ones, so that
+    c_j*w = x_j*(t_j*c_j) with t = (1, D, 1, D, ...).  Since
+    x_j*x_(j+1) = 1, every pair deletion removes a factor 1, and the
+    continuant of a window equals the product of its x_j times the integer
+    continuant of the scaled window: exactly it for even length, w or 1/w
+    times it for odd length.  Verification asks the windows "all but the
+    last" and "all but the first" to vanish, and the windows "all" and "all
+    but both ends" to equal eps and -eps.  For even n the first two have odd
+    length and vanish exactly when their scaled integer continuants do
+    (w != 0), and the last two have even length and are equal to theirs, so
+    this is verification of the scaled integer tuple with the same eps.  For
+    odd n the full continuant lies in Z*w, which meets Q only in 0 because D
+    is not a square, so it never equals eps and no tuple solves.  This
+    proves the rescale_even transfer for every k, and the same argument
+    covers <i*sqrt(k)> with D < 0.
+
+    Lemma (formal X, Kronecker substitution).  Every position carries M,
+    i.e. X := M.  Completeness needs no bound: evaluation at M is a ring map
+    Z[X] -> Z, so a solution over <X> maps to a solution over Z with the
+    same sign.  Soundness: the walker accepts when the prefix product P
+    (n-2 factors) satisfies P11 = -eps, P21 = -eps*kx*X, P12 = eps*ky*X and
+    eps*P22 = kx*ky*X**2 - 1 at X = M, with |kx|, |ky| <= B.  Each P_ij is
+    a continuant of at most n-2 entries c_j*X: at most F(n-1) pair-deletion
+    terms (Fibonacci), each with coefficients of modulus at most B'**(n-2),
+    B' = max(B, 1).  So every coefficient on either side of a comparison
+    has modulus at most F(n+1)*B'**n + B'**2 < M/2, and their difference
+    has coefficients of modulus below M.  A nonzero polynomial g with
+    |g_i| < M has g(M) != 0 (M divides the lowest nonzero coefficient
+    otherwise), so the four equalities hold in Z[X] and the tuple solves
+    over <X>.  Hence M = 2*(F(n+1)*B'**n + B'**2 + 1) + 1.
+    """
+    kind, p, scale = gen.ring
+    if kind == "int":
+        return (p,) * n
+    if kind == "quad":
+        if n % 2:
+            return None
+        return (1, p * scale * scale) * (n // 2)
+    fib, nxt = 1, 1  # F(1), F(2)
+    for _ in range(n):
+        fib, nxt = nxt, fib + nxt
+    b = max(bound, 1)
+    return (2 * (fib * b ** n + b * b + 1) + 1,) * n
+
+
+def _run_shard(gen, n, bound, first):
+    """Enumerate all solutions whose first coefficient is `first` (every
+    solution when first is None, used for n = 2).
+
+    One integer walker serves every ring through _position_scales: the
+    first n-2 coefficients are walked depth first on the flat integer
+    product of the scaled entries, and the last two are completed in closed
+    form as in solve_tail2, then divided back by their scales.
+    """
+    scales = _position_scales(gen, n, bound)
+    found = []
+    if scales is None:
+        return found
+    emit = found.append
+    nonneg = gen.nonneg
+    vals = _coeff_values(gen, bound)
+    levels = [[(c, c * s) for c in vals] for s in scales[: n - 2]]
+    sx, sy = scales[n - 2], scales[n - 1]
+
     def tail(prefix, p11, p12, p21, p22):
         if p11 == 1 or p11 == -1:
             eps = -p11
             x = -eps * p21
             y = eps * p12
             if x * y - 1 == eps * p22:
-                if s == 0:
+                if sx == 0:
                     if x == 0 and y == 0:
                         emit((prefix + (0, 0), eps))
-                elif x % s == 0 and y % s == 0:
-                    kx, ky = x // s, y // s
+                elif x % sx == 0 and y % sy == 0:
+                    kx, ky = x // sx, y // sy
                     if abs(kx) <= bound and abs(ky) <= bound and not (
                         nonneg and (kx < 0 or ky < 0)
                     ):
@@ -123,140 +203,14 @@ def _shard_int(s, vals, n, bound, nonneg, first, emit):
         if depth == n - 2:
             tail(prefix, p11, p12, p21, p22)
             return
-        for c in vals:
-            e = c * s
+        for c, e in levels[depth]:
             rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
 
     if first is None:
         rec(0, (), 1, 0, 0, 1)
     else:
-        e = first * s
+        e = first * scales[0]
         rec(1, (first,), e, -1, 1, 0)
-
-
-def _shard_quad(d, scale, vals, n, bound, nonneg, first, emit):
-    # matrix entries are pairs (a, b) for a + b*w, flattened row by row
-    def tail(prefix, a11, b11, a12, b12, a21, b21, a22, b22):
-        if b11 == 0 and (a11 == 1 or a11 == -1):
-            eps = -a11
-            if a21 == 0 and a12 == 0 and b22 == 0:
-                xb = -eps * b21
-                yb = eps * b12
-                if xb * yb * d - 1 == eps * a22 and xb % scale == 0 and yb % scale == 0:
-                    kx, ky = xb // scale, yb // scale
-                    if abs(kx) <= bound and abs(ky) <= bound and not (
-                        nonneg and (kx < 0 or ky < 0)
-                    ):
-                        emit((prefix + (kx, ky), eps))
-
-    def rec(depth, prefix, a11, b11, a12, b12, a21, b21, a22, b22):
-        if depth == n - 2:
-            tail(prefix, a11, b11, a12, b12, a21, b21, a22, b22)
-            return
-        for c in vals:
-            e = c * scale
-            # M(e*w)*P: new first row is e*w*row1 - row2, new second row is row1
-            rec(
-                depth + 1,
-                prefix + (c,),
-                e * b11 * d - a21,
-                e * a11 - b21,
-                e * b12 * d - a22,
-                e * a12 - b22,
-                a11,
-                b11,
-                a12,
-                b12,
-            )
-
-    if first is None:
-        rec(0, (), 1, 0, 0, 0, 0, 0, 1, 0)
-    else:
-        e = first * scale
-        rec(1, (first,), 0, e, -1, 0, 1, 0, 0, 0)
-
-
-def _poly_strip(t):
-    n = len(t)
-    while n and t[n - 1] == 0:
-        n -= 1
-    return t[:n]
-
-
-def _poly_sub(u, v):
-    m = max(len(u), len(v))
-    return _poly_strip(
-        tuple((u[i] if i < len(u) else 0) - (v[i] if i < len(v) else 0) for i in range(m))
-    )
-
-
-def _poly_xmul(u, c):
-    # c*X*u; u carries no trailing zeros, so neither does the result
-    if c == 0 or not u:
-        return ()
-    return (0,) + tuple(c * x for x in u)
-
-
-def _poly_lin(t):
-    if not t:
-        return 0
-    if len(t) == 2 and t[0] == 0:
-        return t[1]
-    return None
-
-
-def _shard_poly(vals, n, bound, nonneg, first, emit):
-    def tail(prefix, p11, p12, p21, p22):
-        for eps in (1, -1):
-            if p11 != (-eps,):
-                continue
-            kx = _poly_lin(tuple(-eps * c for c in p21))
-            ky = _poly_lin(tuple(eps * c for c in p12))
-            if kx is None or ky is None:
-                continue
-            prod = kx * ky
-            lhs = (-1,) if prod == 0 else (-1, 0, prod)
-            if lhs != tuple(eps * c for c in p22):
-                continue
-            if abs(kx) <= bound and abs(ky) <= bound and not (
-                nonneg and (kx < 0 or ky < 0)
-            ):
-                emit((prefix + (kx, ky), eps))
-
-    def rec(depth, prefix, p11, p12, p21, p22):
-        if depth == n - 2:
-            tail(prefix, p11, p12, p21, p22)
-            return
-        for c in vals:
-            rec(
-                depth + 1,
-                prefix + (c,),
-                _poly_sub(_poly_xmul(p11, c), p21),
-                _poly_sub(_poly_xmul(p12, c), p22),
-                p11,
-                p12,
-            )
-
-    if first is None:
-        rec(0, (), (1,), (), (), (1,))
-    else:
-        p11 = (0, first) if first else ()
-        rec(1, (first,), p11, (-1,), (1,), ())
-
-
-def _run_shard(gen, n, bound, first):
-    """Enumerate all solutions whose first coefficient is `first` (every
-    solution when first is None, used for n = 2)."""
-    kind, p, scale = gen._ring()
-    vals = _coeff_values(gen, bound)
-    found = []
-    emit = found.append
-    if kind == "int":
-        _shard_int(p, vals, n, bound, gen.nonneg, first, emit)
-    elif kind == "quad":
-        _shard_quad(p, scale, vals, n, bound, gen.nonneg, first, emit)
-    else:
-        _shard_poly(vals, n, bound, gen.nonneg, first, emit)
     return found
 
 

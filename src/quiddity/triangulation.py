@@ -194,9 +194,11 @@ def find_labeling(q: Quiddity, label_bound: int):
     are pruned as soon as a vertex with all incident triangles labeled sums
     to a value outside q's entry set.
     """
-    kind, s, _ = q.gen._ring()
+    kind, s, _ = q.gen.ring
     if kind != "int":
         raise ValueError("labeling witnesses are defined for integer tuples")
+    if label_bound < 0:
+        raise ValueError("label bound must be >= 0")
     n = q.size
     if not 3 <= n <= LABEL_SEARCH_SIZE_LIMIT or label_bound > LABEL_SEARCH_BOUND_LIMIT:
         raise SizeLimitError(

@@ -105,7 +105,7 @@ def pair_sign(entries, d):
 
 def gen_pair_embedding(gen):
     """(embed, d) turning coefficients into pair elements for this generator."""
-    kind, p, scale = gen._ring()
+    kind, p, scale = gen.ring
     if kind == "int":
         return (lambda c: (c * p, 0)), 2
     if kind == "quad":

@@ -191,6 +191,12 @@ class TestTriangulate:
         assert code == 0
         assert "vertex sums" in out
 
+    def test_negative_label_bound_is_usage_error(self):
+        code, out = run_cli(
+            "triangulate", "--gen", "z", "--tuple", "[1,1,1]", "--label-bound", "-1"
+        )
+        assert code == 2 and out == ""
+
 
 class TestEvenSearch:
     def test_basic_run(self):
@@ -239,6 +245,23 @@ class TestHelpAndErrors:
             env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "10"},
         )
         assert proc.returncode == 3
+
+    def test_malformed_work_limit_env_var_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiddity", "enumerate",
+             "--gen", "z", "--size", "4", "--bound", "2"],
+            capture_output=True, text=True,
+            env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "abc"},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "work-limit" in proc.stderr
+
+    def test_worker_count_below_one_is_usage_error(self):
+        for workers in ("0", "-3"):
+            code, out = run_cli(
+                "enumerate", "--gen", "z", "--size", "4", "--bound", "2", "--workers", workers
+            )
+            assert code == 2 and out == ""
 
     def test_missing_subcommand_is_usage_error(self):
         code, _, _ = run_cli_subprocess()

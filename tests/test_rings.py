@@ -140,16 +140,16 @@ class TestModulusComparison:
 class TestGeneratorSpec:
     def test_square_radicand_collapses_to_integer(self):
         g = GeneratorSpec.from_string("sqrt:4")
-        assert g._ring() == ("int", 2, 1)
+        assert g.ring == ("int", 2, 1)
         assert g.embed(3) == Int(6)
         g9 = GeneratorSpec.from_string("sqrt:9")
         assert g9.embed(1) == Int(3)
         g1 = GeneratorSpec.from_string("sqrt:1")
-        assert g1._ring() == ("int", 1, 1)
+        assert g1.ring == ("int", 1, 1)
 
     def test_square_imaginary_radicand_scales_i(self):
         g = GeneratorSpec.from_string("isqrt:4")
-        assert g._ring() == ("quad", -1, 2)
+        assert g.ring == ("quad", -1, 2)
         assert g.embed(3) == Quad(0, 6, -1)
         assert g.extract(Quad(0, 6, -1)) == 3
         assert g.extract(Quad(0, 3, -1)) is None
@@ -171,7 +171,7 @@ class TestGeneratorSpec:
 
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.to_string())
     def test_embed_extract_roundtrip(self, gen):
-        kind, p, _ = gen._ring()
+        kind, p, _ = gen.ring
         degenerate = kind == "int" and p == 0
         r = random.Random(42)
         values = [0, 1, -1, 2, -7, 10**6, -(10**6)]

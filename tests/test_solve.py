@@ -95,8 +95,16 @@ class TestEnumerate:
         for n in (3, 5):
             assert enumerate_quiddities(EnumSpec(gen, n, 3)) == []
 
+    # one generator per scale branch of the kernel: uniform integer scale
+    # (positive, negative, from a square radicand), alternating quadratic
+    # scale (real, imaginary, imaginary square radicand) and Kronecker X
     @pytest.mark.parametrize(
-        "gen", [Z, N, SQRT2, GAUSS, GeneratorSpec.from_string("isqrt:2+nonneg")],
+        "gen",
+        [Z, N, GeneratorSpec.from_string("z:2"), GeneratorSpec.from_string("z:-3"),
+         SQRT2, GeneratorSpec.from_string("sqrt:5"), GAUSS,
+         GeneratorSpec.from_string("isqrt:3"), GeneratorSpec.from_string("isqrt:4"),
+         GeneratorSpec.from_string("isqrt:2+nonneg"), ALPHA,
+         GeneratorSpec.from_string("alpha+nonneg")],
         ids=lambda g: g.to_string(),
     )
     def test_matches_brute_force(self, gen):
@@ -107,11 +115,12 @@ class TestEnumerate:
                 key=lambda pair: Quiddity(gen, pair[0], pair[1]).order_key(),
             )
 
-    def test_alpha_matches_brute_force(self):
-        for n in (2, 3, 4):
-            got = {q.coeffs for q in enumerate_quiddities(EnumSpec(ALPHA, n, 2))}
-            want = {c for c, _ in brute_enumerate(ALPHA, n, 2)}
-            assert got == want
+    def test_alpha_kronecker_substitution_is_sound(self):
+        # every tuple the integer walker accepts at X := M must solve over X
+        found = enumerate_quiddities(EnumSpec(ALPHA, 8, 3))
+        assert len(found) == 2765
+        for q in found:
+            assert q.verify() == q.sign
 
     def test_signs_reverify(self):
         for q in enumerate_quiddities(EnumSpec(SQRT2, 6, 2)):
