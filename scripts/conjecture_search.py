@@ -37,8 +37,7 @@ def main() -> int:
         )
         state = None
         if os.path.exists(ck_path):
-            with open(ck_path, "r", encoding="utf-8") as fh:
-                state = EvenSearchState.from_json(fh.read())
+            state = EvenSearchState.load(ck_path)
             if state.complete:
                 print(f"n={n}: checkpoint already complete, skipping", file=sys.stderr)
                 continue
@@ -48,12 +47,10 @@ def main() -> int:
                 workers=args.workers, state=state,
             )
         except WorkLimitExceeded as exc:
-            with open(ck_path, "w", encoding="utf-8") as fh:
-                fh.write(exc.state.to_json())
+            exc.state.save(ck_path)
             print(f"n={n}: budget exhausted, checkpoint at {ck_path}", file=sys.stderr)
             return 3
-        with open(ck_path, "w", encoding="utf-8") as fh:
-            fh.write(final.to_json())
+        final.save(ck_path)
         record = {
             "n": n,
             "bound": args.bound,

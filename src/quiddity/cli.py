@@ -55,14 +55,26 @@ def _default_work_limit() -> str:
     return os.environ.get(WORK_LIMIT_ENV) or str(DEFAULT_WORK_LIMIT)
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type for integers >= minimum; anything else is a usage
+    error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_worker_count = _int_at_least(1, "worker count")
+_work_limit = _int_at_least(0, "work limit")
 
 
 def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
@@ -325,8 +337,7 @@ def _cmd_even_search(args, out) -> int:
     if args.resume:
         if not args.checkpoint or not os.path.exists(args.checkpoint):
             raise ValueError("--resume needs an existing --checkpoint file")
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            state = EvenSearchState.from_json(fh.read())
+        state = EvenSearchState.load(args.checkpoint)
     try:
         results, final = search_evenly_irreducible(
             args.size,
@@ -338,15 +349,13 @@ def _cmd_even_search(args, out) -> int:
         )
     except WorkLimitExceeded as exc:
         if args.checkpoint and exc.state is not None:
-            with open(args.checkpoint, "w", encoding="utf-8") as fh:
-                fh.write(exc.state.to_json())
+            exc.state.save(args.checkpoint)
             print(f"work limit hit; checkpoint written to {args.checkpoint}", file=sys.stderr)
         else:
             print("work limit hit; no checkpoint path given", file=sys.stderr)
         return EXIT_WORK_LIMIT
     if args.checkpoint:
-        with open(args.checkpoint, "w", encoding="utf-8") as fh:
-            fh.write(final.to_json())
+        final.save(args.checkpoint)
     items = []
     for q, equiv_red in results:
         it = _quiddity_payload(q)
@@ -379,7 +388,7 @@ def _add_common(sub, gen=True, fmt=True, workers=True, work_limit=True):
     if workers:
         sub.add_argument("--workers", type=_worker_count, default=1)
     if work_limit:
-        sub.add_argument("--work-limit", type=int, default=_default_work_limit())
+        sub.add_argument("--work-limit", type=_work_limit, default=_default_work_limit())
 
 
 def build_parser() -> argparse.ArgumentParser:

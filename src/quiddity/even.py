@@ -12,9 +12,10 @@ record such divergences.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
-from .core import Quiddity, canonical_coeffs
+from .core import Quiddity
 from .maps import OddSizeError, phi
 from .rings import GeneratorSpec
 from .solve import (
@@ -23,9 +24,6 @@ from .solve import (
     NotAQuiddityError,
     PARITY_EVEN,
     WorkLimitExceeded,
-    _coeff_values,
-    _map_shards,
-    _scan_representative,
     enumerate_quiddities,
     find_decomposition,
     is_irreducible,
@@ -37,6 +35,16 @@ MODE_EQUIV = "up-to-equivalence"
 MODES = (MODE_STRICT, MODE_EQUIV)
 
 _Z = GeneratorSpec("int", 1)
+
+
+def _even_verdicts(q: Quiddity) -> tuple[bool, bool]:
+    """(strictly reducible, reducible up to equivalence) from one scan.
+
+    Lemma: find_decomposition scans the literal tuple first (rotation 0,
+    unreflected), so it returns a rotation-0, unreflected witness exactly
+    when the literal tuple splits."""
+    w = find_decomposition(q, min_left=4, min_right=4, parity=PARITY_EVEN)
+    return w is not None and w.rotation == 0 and not w.reflected, w is not None
 
 
 def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
@@ -54,11 +62,10 @@ def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
         raise OddSizeError("even reducibility concerns even sizes")
     if q.size < 4:
         raise ValueError("even reducibility concerns sizes >= 4")
-    if mode == MODE_STRICT:
-        return _scan_representative(q.coeffs, q.gen, 4, 4, PARITY_EVEN) is not None
-    if mode == MODE_EQUIV:
-        return find_decomposition(q, min_left=4, min_right=4, parity=PARITY_EVEN) is not None
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    strict, equiv = _even_verdicts(q)
+    return strict if mode == MODE_STRICT else equiv
 
 
 @dataclass
@@ -108,15 +115,24 @@ def phi1_link_check(
     return report
 
 
+_STATE_KEYS = ("size", "bound", "mode", "done", "found", "complete")
+_RECORD_KEYS = ("coeffs", "sign", "equiv_reducible")
+
+
+def _require(cond: bool, what: str) -> None:
+    if not cond:
+        raise ValueError(f"bad checkpoint: {what}")
+
+
 @dataclass(frozen=True)
 class EvenSearchState:
     """Resumable cursor for one (size, bound, mode) sweep.
 
     Progress is tracked at first-coefficient shard granularity, so merging
     finished shards is associative and order-independent and serialized
-    states are byte-stable.  found keeps every canonical candidate that
-    survives the strict filter, together with its up-to-equivalence verdict;
-    the mode only selects which of those count as results.
+    states are byte-stable.  found keeps every canonical class that is
+    strictly irreducible, together with its up-to-equivalence verdict; the
+    mode only selects which of those count as results.
     """
 
     size: int
@@ -142,20 +158,83 @@ class EvenSearchState:
 
     @classmethod
     def from_json(cls, text: str) -> "EvenSearchState":
+        """Parse a checkpoint without trusting it; ValueError otherwise.
+
+        Every key must be present with its type; done must list distinct
+        first coefficients within [-bound, bound], and complete must say
+        whether it lists all of them.  Every record is re-verified: size,
+        |c| <= bound, canonical form, sign through is_quiddity, and strict
+        irreducibility together with the equiv_reducible flag, recomputed
+        by the one-call decision the search uses (_even_verdicts).  A
+        record deleted from found cannot be detected: its shard stays in
+        done, so a resumed sweep never revisits it.
+        """
         obj = json.loads(text)
-        return cls(
-            size=int(obj["size"]),
-            bound=int(obj["bound"]),
-            mode=obj["mode"],
-            done=tuple(sorted(int(c) for c in obj["done"])),
-            found=tuple(
-                sorted(
-                    (tuple(rec["coeffs"]), int(rec["sign"]), bool(rec["equiv_reducible"]))
-                    for rec in obj["found"]
-                )
-            ),
-            complete=bool(obj["complete"]),
+        _require(
+            isinstance(obj, dict) and sorted(obj) == sorted(_STATE_KEYS),
+            f"expected exactly the keys {list(_STATE_KEYS)}",
         )
+        size, bound, mode, done, found, complete = (obj[k] for k in _STATE_KEYS)
+        _require(
+            type(size) is int and size >= 4 and size % 2 == 0, "size must be an even integer >= 4"
+        )
+        _require(type(bound) is int and bound >= 0, "bound must be an integer >= 0")
+        _require(isinstance(mode, str) and mode in MODES, f"mode must be one of {list(MODES)}")
+        _require(
+            isinstance(done, list)
+            and all(type(c) is int and abs(c) <= bound for c in done)
+            and len(set(done)) == len(done),
+            "done must list distinct first coefficients within the bound",
+        )
+        _require(
+            type(complete) is bool and complete == (len(done) == 2 * bound + 1),
+            "complete must be true exactly when done lists every shard",
+        )
+        _require(isinstance(found, list), "found must be a list")
+        records = []
+        for rec in found:
+            _require(
+                isinstance(rec, dict) and sorted(rec) == sorted(_RECORD_KEYS),
+                f"each record needs exactly the keys {list(_RECORD_KEYS)}",
+            )
+            cc, sign, red = (rec[k] for k in _RECORD_KEYS)
+            _require(
+                isinstance(cc, list)
+                and len(cc) == size
+                and all(type(c) is int and abs(c) <= bound for c in cc),
+                f"{cc} is not a size-{size} integer tuple within the bound",
+            )
+            _require(type(sign) is int and type(red) is bool, f"{cc}: sign or flag of wrong type")
+            q = Quiddity(_Z, cc, sign)
+            _require(q.canonical().coeffs == q.coeffs, f"{cc} is not in canonical form")
+            _require(q.verify() == sign, f"{cc} does not verify with sign {sign}")
+            _require(
+                _even_verdicts(q) == (False, red),
+                f"{cc} is strictly reducible or its equiv_reducible flag is wrong",
+            )
+            records.append((q.coeffs, sign, red))
+        _require(len({cc for cc, _, _ in records}) == len(records), "a class is recorded twice")
+        return cls(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)), complete)
+
+    def save(self, path) -> None:
+        """Write to_json() to path atomically: a synced temporary file in the
+        same directory, then os.replace, so an interrupted write leaves the
+        previous checkpoint intact."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self.to_json())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    @classmethod
+    def load(cls, path) -> "EvenSearchState":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_json(fh.read())
 
 
 def search_evenly_irreducible(
@@ -168,57 +247,44 @@ def search_evenly_irreducible(
 ):
     """All canonical evenly irreducible integer tuples of one even size.
 
-    Returns (results, final_state).  When the node budget runs out first,
-    WorkLimitExceeded is raised carrying a state that resumes the sweep
-    exactly where it stopped.  results lists (quiddity, equiv_reducible)
-    pairs filtered by mode, sorted; divergent records (strictly irreducible
-    yet reducible up to equivalence) stay visible through the flag.
+    Returns (results, final_state).  Each class in the affordable shards
+    gets one decomposition scan (_even_verdicts), so strict mode tests the
+    canonical representative; strictly reducible classes are not recorded
+    and a resume scans them again.  When the node budget runs out first,
+    WorkLimitExceeded carries a state that resumes the sweep exactly where
+    it stopped.  results lists (quiddity, equiv_reducible) pairs filtered
+    by mode, sorted; the flag keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
+    if bound < 0:
+        raise ValueError("coefficient bound must be >= 0")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if state is not None and (state.size, state.bound, state.mode) != (size, bound, mode):
         raise ValueError("checkpoint does not match this search")
-    vals = _coeff_values(_Z, bound)
-    shard_cost = predicted_nodes(len(vals), size - 1)
+    shards = range(-bound, bound + 1)
     done = set(state.done) if state else set()
-    records = {tuple(cc): (sign, red) for cc, sign, red in state.found} if state else {}
-    pending = [c for c in vals if c not in done]
-    affordable = max(0, work_limit // shard_cost)
+    records = {cc: (sign, red) for cc, sign, red in state.found} if state else {}
+    pending = [c for c in shards if c not in done]
+    affordable = max(0, work_limit // predicted_nodes(len(shards), size - 1))
     batch, overflow = pending[:affordable], pending[affordable:]
     if batch:
-        chunks = _map_shards(_Z, size, bound, batch, workers)
-        for first, chunk in zip(batch, chunks):
-            for coeffs, eps in chunk:
-                cc = canonical_coeffs(coeffs, _Z)
-                if cc in records:
-                    continue
-                q = Quiddity(_Z, cc, eps)
-                if _scan_representative(cc, _Z, 4, 4, PARITY_EVEN) is not None:
-                    continue  # strictly reducible, hence reducible in both modes
-                equiv_red = (
-                    find_decomposition(q, min_left=4, min_right=4, parity=PARITY_EVEN)
-                    is not None
-                )
-                records[cc] = (eps, equiv_red)
-            done.add(first)
-    final = EvenSearchState(
-        size=size,
-        bound=bound,
-        mode=mode,
-        done=tuple(sorted(done)),
-        found=tuple(sorted((cc, sign, red) for cc, (sign, red) in records.items())),
-        complete=not overflow,
-    )
+        spec = EnumSpec(_Z, size, bound, canonical_only=True)
+        for q in enumerate_quiddities(spec, work_limit, workers, firsts=batch):
+            if q.coeffs not in records:
+                strict, equiv = _even_verdicts(q)
+                if not strict:
+                    records[q.coeffs] = (q.sign, equiv)
+        done.update(batch)
+    found = tuple(sorted((cc, sign, red) for cc, (sign, red) in records.items()))
+    final = EvenSearchState(size, bound, mode, tuple(sorted(done)), found, complete=not overflow)
     if overflow:
-        raise WorkLimitExceeded(
-            f"{len(overflow)} of {len(vals)} shards still pending", state=final
-        )
-    results = []
-    for cc, (sign, equiv_red) in sorted(records.items()):
-        if mode == MODE_EQUIV and equiv_red:
-            continue
-        results.append((Quiddity(_Z, cc, sign), equiv_red))
-    results.sort(key=lambda pair: pair[0].order_key())
+        message = f"{len(overflow)} of {len(shards)} shards still pending"
+        raise WorkLimitExceeded(message, state=final)
+    results = sorted(
+        ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()
+         if mode == MODE_STRICT or not red),
+        key=lambda pair: pair[0].order_key(),
+    )
     return results, final

@@ -241,13 +241,15 @@ def _collect(spec: EnumSpec, found):
     return qs
 
 
-def enumerate_quiddities(spec: EnumSpec, work_limit: int = DEFAULT_WORK_LIMIT, workers: int = 1):
+def enumerate_quiddities(
+    spec: EnumSpec, work_limit: int = DEFAULT_WORK_LIMIT, workers: int = 1, firsts=None
+):
     """Every verified tuple in the bounded space, deterministically sorted.
 
-    The space is sharded on the first coefficient; results are merged and
-    re-sorted, so worker count never changes the output.  The node count of
-    the full prefix tree is known up front, which keeps the work limit a
-    hard precondition rather than a mid-flight truncation.
+    Sharded on the first coefficient (all values, or the distinct ones in
+    firsts); results are merged and re-sorted, so worker count never changes
+    the output.  The swept node count is known up front, which keeps the work
+    limit a hard precondition rather than a mid-flight truncation.
     """
     gen, n, bound = spec.gen, spec.size, spec.bound
     if n < 2:
@@ -255,12 +257,14 @@ def enumerate_quiddities(spec: EnumSpec, work_limit: int = DEFAULT_WORK_LIMIT, w
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
     vals = _coeff_values(gen, bound)
-    if predicted_nodes(len(vals), n) > work_limit:
-        raise WorkLimitExceeded(
-            f"enumeration would visit {predicted_nodes(len(vals), n)} nodes "
-            f"(limit {work_limit})"
-        )
-    shards = [None] if n == 2 else list(vals)
+    if firsts is None:
+        shards, cost = ([None] if n == 2 else vals), predicted_nodes(len(vals), n)
+    elif n == 2 or len(set(firsts)) != len(firsts) or not set(firsts) <= set(vals):
+        raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
+    else:
+        shards, cost = list(firsts), len(firsts) * predicted_nodes(len(vals), n - 1)
+    if cost > work_limit:
+        raise WorkLimitExceeded(f"enumeration would visit {cost} nodes (limit {work_limit})")
     chunks = _map_shards(gen, n, bound, shards, workers)
     return _collect(spec, [pair for chunk in chunks for pair in chunk])
 

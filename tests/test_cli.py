@@ -7,8 +7,43 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quiddity import GeneratorSpec, Quiddity
 from quiddity.cli import main
+
+
+def _with(**changes):
+    return lambda state: {**state, **changes}
+
+
+def _record(coeffs, sign, equiv_reducible=False):
+    return {"coeffs": coeffs, "sign": sign, "equiv_reducible": equiv_reducible}
+
+
+# Edits of a complete size-6, bound-1 checkpoint, whose records are the
+# classes of (-1,)*6 (sign 1), (-1, -1, -1, 1, 1, 1) (sign -1) and (1,)*6 (sign 1).
+_BAD_CHECKPOINTS = {
+    "not-json": "{",
+    "not-an-object": "[]",
+    "missing-keys": "{}",
+    "size-type": _with(size="6"),
+    "bound-type": _with(bound=1.0),
+    "unknown-mode": _with(mode="bogus"),
+    "done-duplicate": _with(done=[-1, 0, 0, 1]),
+    "done-outside-bound": _with(done=[-1, 0, 1, 2]),
+    "complete-with-shards-pending": _with(done=[-1, 0]),
+    "record-missing-key": _with(found=[{"coeffs": [1, 1, 1, 1, 1, 1], "sign": 1}]),
+    "record-wrong-size": _with(found=[_record([9, 9], -1)]),
+    "record-outside-bound": _with(found=[_record([1, 1, 1, 1, 1, 9], 1)]),
+    "record-not-canonical": _with(found=[_record([1, 1, 1, -1, -1, -1], -1)]),
+    "record-wrong-sign": _with(found=[_record([1, 1, 1, 1, 1, 1], -1)]),
+    "record-not-a-solution": _with(found=[_record([0, 0, 0, 0, 0, 1], 1)]),
+    "record-strictly-reducible": _with(found=[_record([0, 0, 0, 0, 0, 0], -1)]),
+    "record-wrong-flag": _with(found=[_record([1, 1, 1, 1, 1, 1], 1, True)]),
+    "record-flag-type": _with(found=[_record([1, 1, 1, 1, 1, 1], 1, "false")]),
+    "record-twice": lambda state: {**state, "found": state["found"] + state["found"][:1]},
+}
 
 
 def run_cli(*argv):
@@ -231,6 +266,23 @@ class TestEvenSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
+    def test_untrusted_checkpoint_is_usage_error(self, case, tmp_path, capsys):
+        args = ("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(tmp_path / "s.json"))
+        assert run_cli(*args)[0] == 0
+        capsys.readouterr()
+        state = json.loads((tmp_path / "s.json").read_text())
+        edit = _BAD_CHECKPOINTS[case]
+        (tmp_path / "s.json").write_text(edit if isinstance(edit, str) else json.dumps(edit(state)))
+        code, out = run_cli(*args, "--resume")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_bound_is_usage_error(self, capsys):
+        code, out = run_cli("even-search", "--size", "6", "--bound", "-1")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestHelpAndErrors:
     def test_help_exits_zero(self):
@@ -255,6 +307,27 @@ class TestHelpAndErrors:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert "work-limit" in proc.stderr
+
+    def test_negative_work_limit_is_usage_error(self, capsys):
+        code, out = run_cli(
+            "enumerate", "--gen", "z", "--size", "4", "--bound", "2", "--work-limit", "-5"
+        )
+        assert code == 2 and out == ""
+        assert "error: argument --work-limit" in capsys.readouterr().err
+        code, _ = run_cli(
+            "enumerate", "--gen", "z", "--size", "4", "--bound", "2", "--work-limit", "0"
+        )
+        assert code == 3
+
+    def test_negative_work_limit_env_var_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiddity", "enumerate",
+             "--gen", "z", "--size", "4", "--bound", "2"],
+            capture_output=True, text=True,
+            env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "-5"},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: argument --work-limit" in proc.stderr
 
     def test_worker_count_below_one_is_usage_error(self):
         for workers in ("0", "-3"):

@@ -14,6 +14,7 @@ from quiddity import (
     Quiddity,
     WorkLimitExceeded,
     enumerate_quiddities,
+    find_decomposition,
     is_evenly_reducible,
     phi1_link_check,
     search_evenly_irreducible,
@@ -69,6 +70,14 @@ class TestEvenReducibility:
                 assert len(left) % 2 == 0 and len(left) >= 4
                 assert len(right) % 2 == 0 and len(right) >= 4
                 assert len(left) + len(right) - 2 == n
+
+    def test_strict_verdict_read_off_the_witness_matches_literal_scan(self):
+        from quiddity.solve import _scan_representative
+
+        for n in (6, 8):
+            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+                literal = _scan_representative(q.coeffs, Z, 4, 4, "even") is not None
+                assert is_evenly_reducible(q, MODE_STRICT) is literal
 
     def test_preconditions(self):
         with pytest.raises(OddSizeError):
@@ -155,8 +164,82 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_evenly_irreducible(6, 2, state=state)
 
+    def test_one_decomposition_call_per_class(self, monkeypatch):
+        import quiddity.even as even
+
+        calls = []
+
+        def counting(q, *args, **kwargs):
+            calls.append(q.coeffs)
+            return find_decomposition(q, *args, **kwargs)
+
+        monkeypatch.setattr(even, "find_decomposition", counting)
+        search_evenly_irreducible(8, 2)
+        classes = [q.coeffs for q in enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))]
+        assert sorted(calls) == sorted(classes)
+
+    def test_first_coefficient_batches_cover_the_class_set(self):
+        spec = EnumSpec(Z, 8, 2, canonical_only=True)
+        union = set()
+        for batch in ([-2, 1], [0], [2, -1]):
+            union |= {q.coeffs for q in enumerate_quiddities(spec, firsts=batch)}
+        assert union == {q.coeffs for q in enumerate_quiddities(spec)}
+
+    def test_first_coefficient_batch_preconditions(self):
+        spec = EnumSpec(Z, 6, 2)
+        for bad in ([3], [0, 0], [-3, 1]):
+            with pytest.raises(ValueError):
+                enumerate_quiddities(spec, firsts=bad)
+        with pytest.raises(ValueError):
+            enumerate_quiddities(EnumSpec(Z, 2, 2), firsts=[0])
+        # a size-6, bound-2 shard costs 1+5+25+125 = 156 nodes
+        assert enumerate_quiddities(spec, work_limit=312, firsts=[0, 1]) is not None
+        with pytest.raises(WorkLimitExceeded):
+            enumerate_quiddities(spec, work_limit=311, firsts=[0, 1])
+
+    def test_resume_chain_with_workers_equals_single_shot(self):
+        full, state_full = search_evenly_irreducible(8, 2)
+        shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
+        state, steps = None, 0
+        while True:
+            try:
+                resumed, state = search_evenly_irreducible(
+                    8, 2, work_limit=2 * shard, workers=2, state=state
+                )
+                break
+            except WorkLimitExceeded as exc:
+                state, steps = exc.state, steps + 1
+        assert steps == 2
+        assert [(q.coeffs, q.sign, red) for q, red in resumed] == [
+            (q.coeffs, q.sign, red) for q, red in full
+        ]
+        assert state.to_json() == state_full.to_json()
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        import os
+
+        _, small = search_evenly_irreducible(6, 1)
+        _, large = search_evenly_irreducible(6, 2)
+        path = tmp_path / "state.json"
+        small.save(path)
+        assert path.read_text() == small.to_json()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            large.save(path)
+        assert path.read_text() == small.to_json()
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        monkeypatch.undo()
+        large.save(path)
+        assert EvenSearchState.load(path) == large
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             search_evenly_irreducible(5, 2)
+        with pytest.raises(ValueError):
+            search_evenly_irreducible(6, -1)
         with pytest.raises(ValueError):
             search_evenly_irreducible(6, 2, mode="bogus")
