@@ -19,19 +19,45 @@ from quiddity import EvenSearchState, WorkLimitExceeded, search_evenly_irreducib
 from quiddity.even import MODES, MODE_EQUIV
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _even_sizes(text: str) -> list[int]:
+    """argparse type: comma-separated even sizes >= 4."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        sizes = [0]
+    if any(n < 4 or n % 2 for n in sizes):
+        raise argparse.ArgumentTypeError(f"expected even sizes >= 4, got {text!r}")
+    return sizes
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", default="4,6,8", help="comma-separated even sizes")
-    ap.add_argument("--bound", type=int, default=2)
+    ap.add_argument("--sizes", type=_even_sizes, default="4,6,8", help="comma-separated even sizes")
+    ap.add_argument("--bound", type=_at_least(0), default=2)
     ap.add_argument("--mode", choices=MODES, default=MODE_EQUIV)
-    ap.add_argument("--work-limit", type=int, default=10**8)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--work-limit", type=_at_least(0), default=10**8)
+    ap.add_argument("--workers", type=_at_least(1), default=1)
     ap.add_argument("--evidence", default="even_irreducible_evidence.jsonl")
     ap.add_argument("--checkpoint-dir", default=".")
     args = ap.parse_args()
 
     budget = args.work_limit
-    for n in (int(s) for s in args.sizes.split(",")):
+    for n in args.sizes:
         ck_path = os.path.join(
             args.checkpoint_dir, f"even_search_n{n}_b{args.bound}_{args.mode}.json"
         )

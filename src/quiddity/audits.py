@@ -20,15 +20,15 @@ from .core import (
     continuant_windows_match,
     product_matrix,
 )
-from .even import MODE_EQUIV, is_evenly_reducible, phi1_link_check
-from .maps import phi, phi_inverse, phi_preserves_irreducibility_check, rescale_even
+from .even import MODE_EQUIV, is_evenly_reducible
+from .maps import phi, phi_inverse, rescale_even
 from .rings import GeneratorSpec, Int, Poly, Quad
 from .solve import (
-    DEFAULT_WORK_LIMIT,
     EnumSpec,
     check_two_small_entries,
     classify_irreducibles,
     enumerate_quiddities,
+    is_irreducible,
 )
 
 
@@ -97,15 +97,10 @@ class ProbeResult:
     detail: str = ""
 
 
-def classification_probe(gen_strings, max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
+def classification_probe(gen_strings, max_size, bound, workers=1):
     for text in gen_strings:
         gen = GeneratorSpec.from_string(text)
-        got = {
-            q.coeffs
-            for q in classify_irreducibles(
-                gen, max_size, bound, work_limit=work_limit, workers=workers
-            )
-        }
+        got = {q.coeffs for q in classify_irreducibles(gen, max_size, bound, workers=workers)}
         want = expected_irreducible_classes(gen, 3, max_size, bound)
         if got != want:
             missing = sorted(want - got)
@@ -119,7 +114,7 @@ def classification_probe(gen_strings, max_size, bound, work_limit=DEFAULT_WORK_L
             yield ProbeResult(f"classification[{text}]", True, f"{len(got)} classes")
 
 
-def small_entries_probe(gen_strings, max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
+def small_entries_probe(gen_strings, max_size, bound, workers=1):
     for text in gen_strings:
         gen = GeneratorSpec.from_string(text)
         if not gen.has_modulus():
@@ -128,7 +123,7 @@ def small_entries_probe(gen_strings, max_size, bound, work_limit=DEFAULT_WORK_LI
         count = 0
         for n in range(2, max_size + 1):
             spec = EnumSpec(gen, n, bound, canonical_only=True)
-            for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
+            for q in enumerate_quiddities(spec, workers=workers):
                 count += 1
                 if not check_two_small_entries(q):
                     bad.append(q.coeffs)
@@ -139,23 +134,43 @@ def small_entries_probe(gen_strings, max_size, bound, work_limit=DEFAULT_WORK_LI
         )
 
 
-def bijection_probe(ks, max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
+def _phi_mismatches(gen, sizes, bound, agree, workers):
+    """Run agree(q, phi(q)) on every canonical tuple over gen of the given
+    sizes; return the number checked and a failure detail naming each
+    disagreeing `source -> image` pair ("" when they all agree)."""
+    checked, bad = 0, []
+    for n in sizes:
+        spec = EnumSpec(gen, n, bound, canonical_only=True)
+        for q in enumerate_quiddities(spec, workers=workers):
+            img = phi(q)
+            checked += 1
+            if not agree(q, img):
+                bad.append(f"{q.coeffs} -> {img.coeffs}")
+    return checked, ("counterexamples: " + "; ".join(bad) if bad else "")
+
+
+def bijection_probe(ks, max_size, bound, workers=1):
+    """Irreducibility over <i*sqrt(k)> must match irreducibility of the
+    alternating-sign image over <sqrt(k)>, tuple by tuple, and the map must
+    round-trip.
+
+    k = 1 is skipped: odd-size integer tuples exist while odd sizes over <i>
+    are empty, so the transport genuinely fails there.
+    """
     for k in ks:
-        report = phi_preserves_irreducibility_check(
-            k, max_size, bound, work_limit=work_limit, workers=workers
-        )
-        yield ProbeResult(
-            f"sign-map-irreducibility[k={k}]",
-            report.status in ("ok", "skipped"),
-            f"{report.status}, checked {report.checked}",
-        )
+        name = f"sign-map-irreducibility[k={k}]"
         if k == 1:
+            yield ProbeResult(name, True, "skipped, checked 0")
             continue
         src = GeneratorSpec("isqrt", k)
+        checked, failure = _phi_mismatches(
+            src, range(2, max_size + 1), bound,
+            lambda q, img: is_irreducible(q) == is_irreducible(img), workers,
+        )
+        yield ProbeResult(name, not failure, failure or f"ok, checked {checked}")
         bad = []
         for n in range(2, max_size + 1, 2):
-            spec = EnumSpec(src, n, bound)
-            for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
+            for q in enumerate_quiddities(EnumSpec(src, n, bound), workers=workers):
                 if phi_inverse(phi(q)).coeffs != q.coeffs:
                     bad.append(q.coeffs)
         yield ProbeResult(
@@ -163,13 +178,18 @@ def bijection_probe(ks, max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=
         )
 
 
-def link_probe(max_size, bound, work_limit=DEFAULT_WORK_LIMIT, workers=1):
-    report = phi1_link_check(max_size, bound, work_limit=work_limit, workers=workers)
-    yield ProbeResult(
-        "even-irreducibility-link",
-        report.status == "ok",
-        f"checked {report.checked}",
+def link_probe(max_size, bound, workers=1):
+    """A tuple over <i> is irreducible exactly when its alternating-sign
+    integer image is evenly irreducible.
+
+    Sizes start at 4: the size-2 tuple is excluded from irreducibility by
+    convention, which would fake a counterexample.
+    """
+    checked, failure = _phi_mismatches(
+        GeneratorSpec("isqrt", 1), range(4, max_size + 1), bound,
+        lambda q, img: is_irreducible(q) != is_evenly_reducible(img, MODE_EQUIV), workers,
     )
+    yield ProbeResult("even-irreducibility-link", not failure, failure or f"checked {checked}")
 
 
 def rescale_probe(ks, max_size, bound):

@@ -325,6 +325,15 @@ def _cmd_triangulate(args, out) -> int:
     return EXIT_OK
 
 
+def _checkpoint_io(call, path):
+    """call(path) for a checkpoint load or save; an OSError there means a bad
+    --checkpoint path, so it becomes a usage error (exit 2)."""
+    try:
+        return call(path)
+    except OSError as exc:
+        raise ValueError(f"checkpoint {path!r}: {exc.strerror or exc}") from exc
+
+
 def _cmd_even_search(args, out) -> int:
     config = {
         "command": "even-search",
@@ -334,10 +343,12 @@ def _cmd_even_search(args, out) -> int:
         "work_limit": args.work_limit,
     }
     state = None
+    if args.checkpoint and not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
+        raise ValueError(f"the directory of --checkpoint {args.checkpoint!r} does not exist")
     if args.resume:
         if not args.checkpoint or not os.path.exists(args.checkpoint):
             raise ValueError("--resume needs an existing --checkpoint file")
-        state = EvenSearchState.load(args.checkpoint)
+        state = _checkpoint_io(EvenSearchState.load, args.checkpoint)
     try:
         results, final = search_evenly_irreducible(
             args.size,
@@ -348,14 +359,15 @@ def _cmd_even_search(args, out) -> int:
             state=state,
         )
     except WorkLimitExceeded as exc:
+        print(f"work limit: {exc}", file=sys.stderr)
         if args.checkpoint and exc.state is not None:
-            exc.state.save(args.checkpoint)
+            _checkpoint_io(exc.state.save, args.checkpoint)
             print(f"work limit hit; checkpoint written to {args.checkpoint}", file=sys.stderr)
         else:
             print("work limit hit; no checkpoint path given", file=sys.stderr)
         return EXIT_WORK_LIMIT
     if args.checkpoint:
-        final.save(args.checkpoint)
+        _checkpoint_io(final.save, args.checkpoint)
     items = []
     for q, equiv_red in results:
         it = _quiddity_payload(q)

@@ -1,5 +1,6 @@
-"""Even splice reducibility of even-size integer tuples, its link to tuples
-over <i>, and the resumable search for evenly irreducible solutions.
+"""Even splice reducibility of even-size integer tuples and the resumable
+search for evenly irreducible solutions (audits.link_probe checks their link
+to tuples over <i>).
 
 An even-size verified integer tuple is evenly reducible when it splits as a
 splice sum of two verified tuples of even size at least 4.  Two readings are
@@ -16,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .core import Quiddity
-from .maps import OddSizeError, phi
+from .maps import OddSizeError
 from .rings import GeneratorSpec
 from .solve import (
     DEFAULT_WORK_LIMIT,
@@ -26,7 +27,6 @@ from .solve import (
     WorkLimitExceeded,
     enumerate_quiddities,
     find_decomposition,
-    is_irreducible,
     predicted_nodes,
 )
 
@@ -66,53 +66,6 @@ def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
         raise ValueError(f"unknown mode {mode!r}")
     strict, equiv = _even_verdicts(q)
     return strict if mode == MODE_STRICT else equiv
-
-
-@dataclass
-class LinkAuditReport:
-    """Outcome of the <i>-to-integers irreducibility link probe."""
-
-    max_size: int
-    bound: int
-    status: str  # "ok" | "counterexample"
-    checked: int = 0
-    counterexamples: list | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "bound": self.bound,
-            "status": self.status,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples or [],
-        }
-
-
-def phi1_link_check(
-    max_size: int,
-    bound: int,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-    workers: int = 1,
-) -> LinkAuditReport:
-    """Probe: a tuple over <i> is irreducible exactly when its alternating
-    sign integer image is evenly irreducible.
-
-    Sizes start at 4: the size-2 tuple is excluded from irreducibility by
-    convention, which would fake a counterexample.
-    """
-    gen = GeneratorSpec("isqrt", 1)
-    report = LinkAuditReport(max_size, bound, status="ok", counterexamples=[])
-    for n in range(4, max_size + 1):
-        spec = EnumSpec(gen, n, bound, canonical_only=True)
-        for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
-            img = phi(q)
-            report.checked += 1
-            if is_irreducible(q) != (not is_evenly_reducible(img, MODE_EQUIV)):
-                report.status = "counterexample"
-                report.counterexamples.append(
-                    {"source": list(q.coeffs), "image": list(img.coeffs)}
-                )
-    return report
 
 
 _STATE_KEYS = ("size", "bound", "mode", "done", "found", "complete")
@@ -252,8 +205,10 @@ def search_evenly_irreducible(
     canonical representative; strictly reducible classes are not recorded
     and a resume scans them again.  When the node budget runs out first,
     WorkLimitExceeded carries a state that resumes the sweep exactly where
-    it stopped.  results lists (quiddity, equiv_reducible) pairs filtered
-    by mode, sorted; the flag keeps divergent records visible.
+    it stopped, and its message names the node cost of one shard, the least
+    budget under which a resume makes progress.  results lists
+    (quiddity, equiv_reducible) pairs filtered by mode, sorted; the flag
+    keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
@@ -267,7 +222,8 @@ def search_evenly_irreducible(
     done = set(state.done) if state else set()
     records = {cc: (sign, red) for cc, sign, red in state.found} if state else {}
     pending = [c for c in shards if c not in done]
-    affordable = max(0, work_limit // predicted_nodes(len(shards), size - 1))
+    per_shard = predicted_nodes(len(shards), size - 1)
+    affordable = max(0, work_limit // per_shard)
     batch, overflow = pending[:affordable], pending[affordable:]
     if batch:
         spec = EnumSpec(_Z, size, bound, canonical_only=True)
@@ -280,7 +236,10 @@ def search_evenly_irreducible(
     found = tuple(sorted((cc, sign, red) for cc, (sign, red) in records.items()))
     final = EvenSearchState(size, bound, mode, tuple(sorted(done)), found, complete=not overflow)
     if overflow:
-        message = f"{len(overflow)} of {len(shards)} shards still pending"
+        message = (
+            f"{len(overflow)} of {len(shards)} shards still pending; "
+            f"one shard needs {per_shard} nodes (limit {work_limit})"
+        )
         raise WorkLimitExceeded(message, state=final)
     results = sorted(
         ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()

@@ -13,17 +13,9 @@ exact, generator-agnostic, and automatic in the square-k corner cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import Quiddity, TheoremViolation
 from .rings import GeneratorSpec
-from .solve import (
-    DEFAULT_WORK_LIMIT,
-    EnumSpec,
-    NotAQuiddityError,
-    enumerate_quiddities,
-    is_irreducible,
-)
+from .solve import NotAQuiddityError
 
 
 class OddSizeError(ValueError):
@@ -107,60 +99,3 @@ def rescale_even_inverse(values, k: int):
         else:
             out.append(v)
     return tuple(out)
-
-
-@dataclass
-class BijectionAuditReport:
-    """Outcome of the irreducibility-transport audit for one k."""
-
-    k: int
-    max_size: int
-    bound: int
-    status: str  # "ok" | "skipped" | "counterexample"
-    checked: int = 0
-    counterexamples: list = field(default_factory=list)
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "max_size": self.max_size,
-            "bound": self.bound,
-            "status": self.status,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples,
-            "note": self.note,
-        }
-
-
-def phi_preserves_irreducibility_check(
-    k: int,
-    max_size: int,
-    bound: int,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-    workers: int = 1,
-) -> BijectionAuditReport:
-    """Probe: irreducibility over <i*sqrt(k)> must match irreducibility of
-    the alternating-sign image over <sqrt(k)>, tuple by tuple.
-
-    k = 1 is skipped: odd-size integer tuples exist while odd sizes over <i>
-    are empty, so the transport genuinely fails there.
-    """
-    if k == 1:
-        return BijectionAuditReport(
-            k, max_size, bound, status="skipped",
-            note="irreducibility does not transport onto the integers",
-        )
-    src = GeneratorSpec("isqrt", k)
-    report = BijectionAuditReport(k, max_size, bound, status="ok")
-    for n in range(2, max_size + 1):
-        spec = EnumSpec(src, n, bound, canonical_only=True)
-        for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
-            img = phi(q)
-            report.checked += 1
-            if is_irreducible(q) != is_irreducible(img):
-                report.status = "counterexample"
-                report.counterexamples.append(
-                    {"source": list(q.coeffs), "image": list(img.coeffs)}
-                )
-    return report

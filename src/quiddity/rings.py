@@ -443,20 +443,6 @@ class GeneratorSpec:
             base = f"{self.family}:{self.param}"
         return base + ("+nonneg" if self.nonneg else "")
 
-    def generator_label(self) -> str:
-        kind, p, scale = self.ring
-        if kind == "int":
-            return str(p)
-        if kind == "quad":
-            if p == -1:
-                root = "i"
-            elif p > 0:
-                root = f"sqrt({p})"
-            else:
-                root = f"i*sqrt({-p})"
-            return root if scale == 1 else f"{scale}*{root}"
-        return "X"
-
 
 def format_element(x) -> str:
     """Canonical textual form: '7', '0+1*sqrt(2)', '0-2*i', '1+0*X+3*X^2'."""

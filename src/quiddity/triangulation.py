@@ -89,20 +89,16 @@ class Labeling:
             raise ValueError("one label per triangle")
 
 
-def is_admissible(labeling: Labeling, zero_pairs: bool = True) -> bool:
+def is_admissible(labeling: Labeling) -> bool:
     """Can the non-unit triangles split into dual-adjacent (a, -a) pairs?
 
     The pairing lives on an induced subforest of the dual tree, where a leaf
     has exactly one possible partner; peeling leaves first therefore decides
-    existence exactly, no general matching needed.
-
-    zero_pairs keeps the literal reading that a zero label must pair with an
-    adjacent zero (0 = -0); setting it False exempts zero labels from the
-    pairing requirement, the laxer reading, kept only as an exploration knob.
+    existence exactly, no general matching needed.  A zero label must pair
+    with an adjacent zero (0 = -0).
     """
     labels = labeling.labels
-    exempt = (1, -1) if zero_pairs else (1, -1, 0)
-    need = {i for i, lab in enumerate(labels) if lab not in exempt}
+    need = {i for i, lab in enumerate(labels) if lab not in (1, -1)}
     if not need:
         return True
     if len(need) % 2:

@@ -33,13 +33,13 @@ from quiddity import (
     is_irreducible,
     is_quiddity,
     phi,
-    phi1_link_check,
     phi_inverse,
     product_matrix,
     quiddity_of_labeling,
     solve_tail2,
     Labeling,
 )
+from quiddity.audits import link_probe
 
 from helpers import brute_decomposition, brute_tail_completions
 
@@ -267,8 +267,8 @@ def test_criterion_09_even_irreducibility_examples():
         assert is_evenly_reducible(q, MODE_STRICT) is expect
     for q in _enum("z", 4, 4, canonical=True):
         assert is_evenly_reducible(q, MODE_EQUIV) is False
-    report = phi1_link_check(8, 2)
-    assert report.status == "ok" and report.checked > 0
+    (link,) = link_probe(8, 2)
+    assert link.ok and int(link.detail.removeprefix("checked ")) > 0
     _finish(9, "even-irreducibility examples and link", started, 60)
 
 

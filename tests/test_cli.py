@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from quiddity import GeneratorSpec, Quiddity
+import quiddity
+from quiddity import EvenSearchState, GeneratorSpec, Quiddity, audits, cli
 from quiddity.cli import main
+from quiddity.solve import predicted_nodes
+
+CONJECTURE_SEARCH = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_search.py"
 
 
 def _with(**changes):
@@ -283,6 +289,61 @@ class TestEvenSearch:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_missing_checkpoint_directory_is_usage_error_before_sweeping(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the checkpoint path")
+
+        monkeypatch.setattr(cli, "search_evenly_irreducible", sweep)
+        ck = tmp_path / "missing-dir" / "x.json"
+        code, out = run_cli("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_directory_as_checkpoint_is_usage_error(self, resume, tmp_path, capsys):
+        args = ["even-search", "--size", "6", "--bound", "1", "--checkpoint", str(tmp_path)]
+        code, out = run_cli(*args, *(["--resume"] if resume else []))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unaffordable_shard_names_its_cost(self, tmp_path, capsys):
+        ck = tmp_path / "c.json"
+        args = ["even-search", "--size", "14", "--bound", "3", "--work-limit", "1000"]
+        empty = EvenSearchState(14, 3, "up-to-equivalence", (), ()).to_json()
+        for extra in ([], ["--resume"]):
+            code, out = run_cli(*args, "--checkpoint", str(ck), *extra)
+            assert code == 3 and out == ""
+            err = capsys.readouterr().err
+            assert f"one shard needs {predicted_nodes(7, 13)} nodes (limit 1000)" in err
+            assert f"checkpoint written to {ck}" in err
+            assert ck.read_text() == empty
+
+
+class TestConjectureSearchScript:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sizes", "5"),
+            ("--sizes", "2"),
+            ("--sizes", "4,x"),
+            ("--bound", "-1"),
+            ("--work-limit", "-5"),
+            ("--workers", "0"),
+        ],
+    )
+    def test_bad_flag_is_usage_error_before_any_write(self, flag, value, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, str(CONJECTURE_SEARCH), flag, value],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1])},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"error: argument {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHelpAndErrors:
     def test_help_exits_zero(self):
@@ -350,3 +411,20 @@ def test_selftest_quick_passes():
     assert code == 0, out
     assert "probes passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "gen, probe",
+    [("isqrt:1", "even-irreducibility-link"), ("isqrt:2", "sign-map-irreducibility[k=2]")],
+)
+def test_selftest_names_a_planted_transport_counterexample(gen, probe, monkeypatch):
+    gen = GeneratorSpec.from_string(gen)
+    source = Quiddity(gen, (0, 1, 0, -1)).canonical().coeffs
+    real = audits.is_irreducible
+    monkeypatch.setattr(
+        audits, "is_irreducible", lambda q: real(q) != (q.gen == gen and q.coeffs == source)
+    )
+    code, out = run_cli("selftest")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith(f"{probe}: ")]
+    assert line.startswith(f"{probe}: FAIL") and f"{source} -> " in line

@@ -16,9 +16,9 @@ from quiddity import (
     enumerate_quiddities,
     find_decomposition,
     is_evenly_reducible,
-    phi1_link_check,
     search_evenly_irreducible,
 )
+from quiddity.audits import link_probe
 
 Z = GeneratorSpec.from_string("z")
 
@@ -88,9 +88,9 @@ class TestEvenReducibility:
 
 class TestLinkToGaussianUnits:
     def test_small_scan_is_clean(self):
-        report = phi1_link_check(6, 2)
-        assert report.status == "ok"
-        assert report.checked > 0
+        (result,) = link_probe(6, 2)
+        assert result.ok and result.detail.startswith("checked ")
+        assert int(result.detail.split()[-1]) > 0
 
     def test_zero_interleaved_tuples_line_up(self):
         from quiddity import is_irreducible, phi

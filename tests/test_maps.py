@@ -16,10 +16,10 @@ from quiddity import (
     enumerate_quiddities,
     phi,
     phi_inverse,
-    phi_preserves_irreducibility_check,
     rescale_even,
     rescale_even_inverse,
 )
+from quiddity.audits import bijection_probe
 
 Z = GeneratorSpec.from_string("z")
 
@@ -82,10 +82,11 @@ class TestPhi:
                 assert enumerate_quiddities(EnumSpec(gen, n, 3)) == []
 
     def test_irreducibility_transport_reports(self):
-        ok = phi_preserves_irreducibility_check(2, 6, 2)
-        assert ok.status == "ok" and ok.checked > 0 and not ok.counterexamples
-        skipped = phi_preserves_irreducibility_check(1, 6, 2)
-        assert skipped.status == "skipped"
+        skipped, ok, roundtrip = bijection_probe((1, 2), 6, 2)
+        assert ok.name == "sign-map-irreducibility[k=2]" and ok.ok
+        assert ok.detail.startswith("ok, checked ") and int(ok.detail.split()[-1]) > 0
+        assert roundtrip.ok
+        assert (skipped.ok, skipped.detail) == (True, "skipped, checked 0")
 
 
 class TestRescale:

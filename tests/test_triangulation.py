@@ -81,9 +81,7 @@ class TestAdmissibility:
         tri = enumerate_triangulations(4)[0]
         assert is_admissible(Labeling(tri, (0, 0))) is True
         assert is_admissible(Labeling(tri, (0, 5))) is False
-        # the lax reading exempts zeros from pairing
-        assert is_admissible(Labeling(tri, (0, 1)), zero_pairs=False) is True
-        assert is_admissible(Labeling(tri, (0, 1)), zero_pairs=True) is False
+        assert is_admissible(Labeling(tri, (0, 1))) is False
         # a path of three triangles: zeros at the two ends cannot pair
         for tri in enumerate_triangulations(5):
             edges = tri.dual_edges()
