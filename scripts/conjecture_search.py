@@ -3,20 +3,24 @@
 
 Evidence for the growing-size question accumulates as JSONL lines of the form
 {"n": ..., "bound": ..., "mode": ..., "count": ..., "witnesses": [...]} so
-repeated runs at larger sizes or bounds extend the record.  Each size keeps a
-checkpoint file and resumes from it; a work-limit abort exits 3 with the
-checkpoint saved, rerun to continue.
+repeated runs at larger sizes or bounds extend the record.  Each size is one
+`quiddity even-search --checkpoint FILE` run, which resumes from its own FILE
+when it exists, so a rerun over a complete checkpoint sweeps nothing and
+appends that size's record again.  The first nonzero CLI exit code stops the
+sweep and is returned: 3 for a work-limit abort (checkpoint saved, rerun to
+continue), 2 for a bad path or checkpoint, before any sweep.  An evidence
+file that cannot be written exits 2 as well.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 
-from quiddity import EvenSearchState, WorkLimitExceeded, search_evenly_irreducible
-from quiddity.even import MODES, MODE_EQUIV
+from quiddity import MODE_EQUIV, MODE_STRICT, cli
 
 
 def _at_least(minimum: int):
@@ -49,45 +53,43 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=_even_sizes, default="4,6,8", help="comma-separated even sizes")
     ap.add_argument("--bound", type=_at_least(0), default=2)
-    ap.add_argument("--mode", choices=MODES, default=MODE_EQUIV)
+    ap.add_argument("--mode", choices=(MODE_STRICT, MODE_EQUIV), default=MODE_EQUIV)
     ap.add_argument("--work-limit", type=_at_least(0), default=10**8)
     ap.add_argument("--workers", type=_at_least(1), default=1)
     ap.add_argument("--evidence", default="even_irreducible_evidence.jsonl")
     ap.add_argument("--checkpoint-dir", default=".")
     args = ap.parse_args()
+    if not os.path.isdir(os.path.dirname(args.evidence) or "."):
+        ap.error(f"the directory of --evidence {args.evidence!r} does not exist")
 
-    budget = args.work_limit
     for n in args.sizes:
         ck_path = os.path.join(
             args.checkpoint_dir, f"even_search_n{n}_b{args.bound}_{args.mode}.json"
         )
-        state = None
-        if os.path.exists(ck_path):
-            state = EvenSearchState.load(ck_path)
-            if state.complete:
-                print(f"n={n}: checkpoint already complete, skipping", file=sys.stderr)
-                continue
-        try:
-            results, final = search_evenly_irreducible(
-                n, args.bound, mode=args.mode, work_limit=budget,
-                workers=args.workers, state=state,
-            )
-        except WorkLimitExceeded as exc:
-            exc.state.save(ck_path)
-            print(f"n={n}: budget exhausted, checkpoint at {ck_path}", file=sys.stderr)
-            return 3
-        final.save(ck_path)
+        argv = ["even-search", "--size", n, "--bound", args.bound, "--mode", args.mode,
+                "--work-limit", args.work_limit, "--workers", args.workers,
+                "--checkpoint", ck_path, "--format", "jsonl"]
+        buf = io.StringIO()
+        code = cli.main([str(a) for a in argv], out=buf)
+        if code:
+            return code
+        lines = map(json.loads, buf.getvalue().splitlines())
+        items = [obj for obj in lines if obj["type"] == "quiddity"]
         record = {
             "n": n,
             "bound": args.bound,
             "mode": args.mode,
-            "count": len(results),
-            "witnesses": [list(q.coeffs) for q, _ in results],
-            "divergent": [list(q.coeffs) for q, equiv_red in results if equiv_red],
+            "count": len(items),
+            "witnesses": [it["coeffs"] for it in items],
+            "divergent": [it["coeffs"] for it in items if it["equiv_reducible"]],
         }
-        with open(args.evidence, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"n={n}: {len(results)} evenly irreducible classes (bound {args.bound})")
+        try:
+            with open(args.evidence, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"error: evidence {args.evidence!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        print(f"n={n}: {len(items)} evenly irreducible classes (bound {args.bound})")
     return 0
 
 

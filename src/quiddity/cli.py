@@ -79,7 +79,10 @@ _work_limit = _int_at_least(0, "work limit")
 
 def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
     """JSON array of coefficients (ints) or element strings."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("tuple JSON is nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ValueError("tuple must be a non-empty JSON array")
     coeffs = []
@@ -98,6 +101,32 @@ def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
         else:
             raise ValueError("tuple entries must be integers or element strings")
     return tuple(coeffs)
+
+
+def _verified_input(args) -> Quiddity:
+    """The verified tuple named by --gen and --tuple; NotAQuiddityError
+    (exit 2) when it does not verify."""
+    gen = GeneratorSpec.from_string(args.gen)
+    coeffs = _parse_tuple_arg(args.tuple, gen)
+    q = Quiddity.verified(gen, coeffs)
+    if q is None:
+        raise NotAQuiddityError(f"{tuple(coeffs)} does not verify over {gen.to_string()}")
+    return q
+
+
+# parsed options the config leaves out: format and workers never change the
+# answer, the tuple is the input, the checkpoint a side file, and gen is
+# echoed as its descriptor
+_UNECHOED = ("format", "workers", "tuple", "checkpoint", "handler", "gen")
+
+
+def _config(args) -> dict:
+    """The run configuration embedded in the output: every parsed option
+    except _UNECHOED, with --gen as its generator descriptor."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
+    if "gen" in vars(args):
+        config["generator"] = GeneratorSpec.from_string(args.gen).descriptor()
+    return config
 
 
 def _quiddity_payload(q: Quiddity, irreducible=None) -> dict:
@@ -136,12 +165,8 @@ def _emit_items(args, config: dict, items: list[dict], out) -> None:
         print(_dump({"config": config, "count": len(items), "items": items}), file=out)
 
 
-def _emit_object(args, payload: dict, out, text_lines=None) -> None:
-    if args.format == "text" and text_lines is not None:
-        for line in text_lines:
-            print(line, file=out)
-    else:
-        print(_dump(payload), file=out)
+def _emit_object(args, payload: dict, out, text_lines) -> None:
+    print("\n".join(text_lines) if args.format == "text" else _dump(payload), file=out)
 
 
 # ----------------------------------------------------------------------------
@@ -151,11 +176,10 @@ def _emit_object(args, payload: dict, out, text_lines=None) -> None:
 def _cmd_verify(args, out) -> int:
     gen = GeneratorSpec.from_string(args.gen)
     coeffs = _parse_tuple_arg(args.tuple, gen)
-    config = {"command": "verify", "generator": gen.descriptor()}
     elements = tuple(gen.embed(c) for c in coeffs)
     eps = is_quiddity(elements, cross_check=True)
     payload = {
-        "config": config,
+        "config": _config(args),
         "size": len(coeffs),
         "coeffs": list(coeffs),
         "elements": [format_element(e) for e in elements],
@@ -171,32 +195,14 @@ def _cmd_verify(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     gen = GeneratorSpec.from_string(args.gen)
     spec = EnumSpec(gen, args.size, args.bound, canonical_only=args.canonical_only)
-    config = {
-        "command": "enumerate",
-        "generator": gen.descriptor(),
-        "size": args.size,
-        "bound": args.bound,
-        "canonical_only": args.canonical_only,
-        "work_limit": args.work_limit,
-    }
     found = enumerate_quiddities(spec, work_limit=args.work_limit, workers=args.workers)
-    items = [_quiddity_payload(q) for q in found]
-    _emit_items(args, config, items, out)
+    _emit_items(args, _config(args), [_quiddity_payload(q) for q in found], out)
     return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
-    gen = GeneratorSpec.from_string(args.gen)
-    config = {
-        "command": "classify",
-        "generator": gen.descriptor(),
-        "min_size": args.min_size,
-        "max_size": args.max_size,
-        "bound": args.bound,
-        "work_limit": args.work_limit,
-    }
     found = classify_irreducibles(
-        gen,
+        GeneratorSpec.from_string(args.gen),
         args.max_size,
         args.bound,
         min_size=args.min_size,
@@ -204,35 +210,24 @@ def _cmd_classify(args, out) -> int:
         workers=args.workers,
     )
     items = [_quiddity_payload(q, irreducible=True) for q in found]
-    _emit_items(args, config, items, out)
+    _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
 
 def _cmd_decompose(args, out) -> int:
-    gen = GeneratorSpec.from_string(args.gen)
-    coeffs = _parse_tuple_arg(args.tuple, gen)
-    q = Quiddity.verified(gen, coeffs)
-    if q is None:
-        raise NotAQuiddityError(f"{tuple(coeffs)} does not verify over {gen.to_string()}")
-    config = {
-        "command": "decompose",
-        "generator": gen.descriptor(),
-        "parity": args.parity,
-        "min_left": args.min_left,
-        "min_right": args.min_right,
-    }
+    q = _verified_input(args)
     witness = None
     if q.size >= 4:
         witness = find_decomposition(
             q, min_left=args.min_left, min_right=args.min_right, parity=args.parity
         )
     payload = {
-        "config": config,
+        "config": _config(args),
         "input": _quiddity_payload(q),
         "reducible": witness is not None,
         "witness": witness.to_json_dict() if witness else None,
     }
-    lines = [f"{tuple(coeffs)}: " + ("reducible" if witness else "no decomposition found")]
+    lines = [f"{q.coeffs}: " + ("reducible" if witness else "no decomposition found")]
     if witness:
         lines.append(
             f"  representative {witness.representative} = "
@@ -243,29 +238,15 @@ def _cmd_decompose(args, out) -> int:
 
 
 def _cmd_phi(args, out) -> int:
-    gen = GeneratorSpec.from_string(args.gen)
-    coeffs = _parse_tuple_arg(args.tuple, gen)
-    q = Quiddity.verified(gen, coeffs)
-    if q is None:
-        raise NotAQuiddityError(f"{tuple(coeffs)} does not verify over {gen.to_string()}")
+    q = _verified_input(args)
     image = phi_inverse(q) if args.inverse else phi(q)
-    config = {
-        "command": "phi",
-        "generator": gen.descriptor(),
-        "inverse": args.inverse,
-    }
     payload = {
-        "config": config,
+        "config": _config(args),
         "source": _quiddity_payload(q),
         "target": _quiddity_payload(image),
     }
-    _emit_object(
-        args,
-        payload,
-        out,
-        [f"{tuple(q.coeffs)} over {gen.to_string()} -> "
-         f"{tuple(image.coeffs)} over {image.gen.to_string()}"],
-    )
+    line = f"{q.coeffs} over {q.gen.to_string()} -> {image.coeffs} over {image.gen.to_string()}"
+    _emit_object(args, payload, out, [line])
     return EXIT_OK
 
 
@@ -273,11 +254,10 @@ def _cmd_rescale(args, out) -> int:
     gen = GeneratorSpec.from_string(args.gen)
     if gen.family != "sqrt":
         raise ValueError("rescale expects a sqrt:k generator")
-    k = gen.param
     coeffs = _parse_tuple_arg(args.tuple, gen)
     z = GeneratorSpec("int", 1)
     src, dst = (z, gen) if args.inverse else (gen, z)
-    mapped = (rescale_even_inverse if args.inverse else rescale_even)(coeffs, k)
+    mapped = (rescale_even_inverse if args.inverse else rescale_even)(coeffs, gen.param)
     result = {
         "input": list(coeffs),
         "output": list(mapped),
@@ -289,22 +269,13 @@ def _cmd_rescale(args, out) -> int:
         return f"{t} over z" if g is z else f"coefficients {t} over {gen.to_string()}"
 
     line = f"{side(src, coeffs)} -> {side(dst, mapped)}"
-    config = {"command": "rescale", "generator": gen.descriptor(), "inverse": args.inverse}
-    _emit_object(args, {"config": config, **result}, out, [line])
+    _emit_object(args, {"config": _config(args), **result}, out, [line])
     return EXIT_OK
 
 
 def _cmd_triangulate(args, out) -> int:
-    gen = GeneratorSpec.from_string(args.gen)
-    coeffs = _parse_tuple_arg(args.tuple, gen)
-    q = Quiddity.verified(gen, coeffs)
-    if q is None:
-        raise NotAQuiddityError(f"{tuple(coeffs)} does not verify over {gen.to_string()}")
-    config = {
-        "command": "triangulate",
-        "generator": gen.descriptor(),
-        "label_bound": args.label_bound,
-    }
+    q = _verified_input(args)
+    config = _config(args)
     witness = find_labeling(q, args.label_bound)
     if witness is None:
         payload = {"config": config, "found": False, "witness": None}
@@ -335,20 +306,16 @@ def _checkpoint_io(call, path):
 
 
 def _cmd_even_search(args, out) -> int:
-    config = {
-        "command": "even-search",
-        "size": args.size,
-        "bound": args.bound,
-        "mode": args.mode,
-        "work_limit": args.work_limit,
-    }
+    """--checkpoint F resumes from F when it exists (every record is
+    re-verified on load) and starts fresh otherwise; either way the state is
+    written back to F.  A path that cannot be a checkpoint fails before any
+    sweep."""
     state = None
-    if args.checkpoint and not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
-        raise ValueError(f"the directory of --checkpoint {args.checkpoint!r} does not exist")
-    if args.resume:
-        if not args.checkpoint or not os.path.exists(args.checkpoint):
-            raise ValueError("--resume needs an existing --checkpoint file")
-        state = _checkpoint_io(EvenSearchState.load, args.checkpoint)
+    if args.checkpoint:
+        if not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
+            raise ValueError(f"the directory of --checkpoint {args.checkpoint!r} does not exist")
+        if os.path.exists(args.checkpoint):
+            state = _checkpoint_io(EvenSearchState.load, args.checkpoint)
     try:
         results, final = search_evenly_irreducible(
             args.size,
@@ -368,12 +335,8 @@ def _cmd_even_search(args, out) -> int:
         return EXIT_WORK_LIMIT
     if args.checkpoint:
         _checkpoint_io(final.save, args.checkpoint)
-    items = []
-    for q, equiv_red in results:
-        it = _quiddity_payload(q)
-        it["equiv_reducible"] = equiv_red
-        items.append(it)
-    _emit_items(args, config, items, out)
+    items = [{**_quiddity_payload(q), "equiv_reducible": red} for q, red in results]
+    _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
 
@@ -461,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--mode", choices=MODES, default=MODE_EQUIV)
-    p.add_argument("--checkpoint", help="state file to write (and resume from)")
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--checkpoint", help="state file: resumed from when it exists, then written")
     p.set_defaults(handler=_cmd_even_search)
 
     p = subs.add_parser("selftest", help="falsification probes and audits")

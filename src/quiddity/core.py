@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rings import GeneratorSpec, Int, RingElem, sort_key
+from .rings import GeneratorSpec, Int, RingElem
 
 DEFAULT_EXPANSION_LIMIT = 20
 
@@ -153,14 +153,6 @@ def rotations(t):
 def dihedral_orbit(t):
     """All rotations of t and of its reversal (2n tuples, repeats included)."""
     return rotations(t) + rotations(t[::-1])
-
-
-def canonical_form(t):
-    """Lexicographically minimal dihedral representative under the ring order."""
-    t = tuple(t)
-    if not t:
-        raise ValueError("empty tuple")
-    return min(dihedral_orbit(t), key=lambda u: tuple(sort_key(x) for x in u))
 
 
 @lru_cache(maxsize=None)

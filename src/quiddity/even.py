@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import Quiddity
 from .maps import OddSizeError
@@ -27,7 +28,7 @@ from .solve import (
     WorkLimitExceeded,
     enumerate_quiddities,
     find_decomposition,
-    predicted_nodes,
+    priced_nodes,
 )
 
 MODE_STRICT = "strict"
@@ -122,7 +123,10 @@ class EvenSearchState:
         record deleted from found cannot be detected: its shard stays in
         done, so a resumed sweep never revisits it.
         """
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("bad checkpoint: JSON nested too deeply") from None
         _require(
             isinstance(obj, dict) and sorted(obj) == sorted(_STATE_KEYS),
             f"expected exactly the keys {list(_STATE_KEYS)}",
@@ -216,15 +220,19 @@ def search_evenly_irreducible(
         raise ValueError("coefficient bound must be >= 0")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if state is not None and (state.size, state.bound, state.mode) != (size, bound, mode):
+    if state is not None and (
+        (state.size, state.bound, state.mode) != (size, bound, mode)
+        or any(abs(c) > bound for c in state.done)
+    ):
         raise ValueError("checkpoint does not match this search")
-    shards = range(-bound, bound + 1)
+    shards = 2 * bound + 1
     done = set(state.done) if state else set()
     records = {cc: (sign, red) for cc, sign, red in state.found} if state else {}
-    pending = [c for c in shards if c not in done]
-    per_shard = predicted_nodes(len(shards), size - 1)
-    affordable = max(0, work_limit // per_shard)
-    batch, overflow = pending[:affordable], pending[affordable:]
+    per_shard, per_shard_text = priced_nodes(1, shards, size - 1)
+    affordable = 0 if per_shard is None else max(0, work_limit // per_shard)
+    pending = (c for c in range(-bound, bound + 1) if c not in done)
+    batch = list(islice(pending, affordable))
+    overflow = shards - len(done) - len(batch)
     if batch:
         spec = EnumSpec(_Z, size, bound, canonical_only=True)
         for q in enumerate_quiddities(spec, work_limit, workers, firsts=batch):
@@ -237,8 +245,8 @@ def search_evenly_irreducible(
     final = EvenSearchState(size, bound, mode, tuple(sorted(done)), found, complete=not overflow)
     if overflow:
         message = (
-            f"{len(overflow)} of {len(shards)} shards still pending; "
-            f"one shard needs {per_shard} nodes (limit {work_limit})"
+            f"{overflow} of {shards} shards still pending; "
+            f"one shard needs {per_shard_text} nodes (limit {work_limit})"
         )
         raise WorkLimitExceeded(message, state=final)
     results = sorted(

@@ -275,13 +275,6 @@ def _common(x, y):
     raise MixedRingError("cannot mix polynomial and quadratic elements")
 
 
-def sort_key(x):
-    """Total-order key for ring elements; plain ints sort as rationals."""
-    if isinstance(x, int):
-        return (0, x)
-    return x.sort_key()
-
-
 def cmp_abs_squared_with_4(x) -> int:
     """Compare |x|^2 with 4 exactly: -1, 0 or +1.
 

@@ -22,6 +22,8 @@ instead could never terminate over an infinite subgroup.
 
 from __future__ import annotations
 
+import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -89,22 +91,42 @@ def solve_tail2(P: Mat2, gen: GeneratorSpec):
     return out
 
 
-def _coeff_values(gen: GeneratorSpec, bound: int):
-    lo = 0 if gen.nonneg else -bound
-    vals = list(range(lo, bound + 1))
+def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
+    """The coefficients one position takes, as a range: a search is priced
+    from its length before any value is built."""
     kind, p, _ = gen.ring
     if kind == "int" and p == 0:
-        vals = [0]  # the zero generator maps every coefficient to one element
-    return vals
+        return range(1)  # the zero generator maps every coefficient to one element
+    return range(0 if gen.nonneg else -bound, bound + 1)
 
 
 def predicted_nodes(num_values: int, size: int) -> int:
-    """DFS states for a full prefix tree over size-2 levels, root included."""
-    total, level = 1, 1
-    for _ in range(size - 2):
-        level *= num_values
-        total += level
-    return total
+    """DFS states for a full prefix tree over size-2 levels, root included:
+    1 + v + ... + v**(size-2) for v = num_values."""
+    if size <= 2:
+        return 1
+    if num_values == 1:
+        return size - 1
+    return (num_values ** (size - 1) - 1) // (num_values - 1)
+
+
+def priced_nodes(count: int, num_values: int, size: int):
+    """(cost, text) for count * predicted_nodes(num_values, size) nodes;
+    (None, "more than 10^k") when the cost is too long to print.
+
+    For num_values >= 2 the cost lies in [C, 2C) with C = count *
+    num_values**(size-2), so log10(C) bounds its digit count before it is
+    built (capping size keeps the estimate a lower bound).  Python's str()
+    refuses ints longer than sys.get_int_max_str_digits() digits, and no
+    run can spend such a budget, so that cost is never built and callers
+    refuse it whatever the limit.
+    """
+    if count and num_values >= 2 and size > 2:
+        log_c = math.log10(count) + min(size - 2, 10**6) * math.log10(num_values)
+        if log_c + 2 > (getattr(sys, "get_int_max_str_digits", int)() or 4300):
+            return None, f"more than 10^{int(log_c) - 1}"
+    cost = count * predicted_nodes(num_values, size)
+    return cost, str(cost)
 
 
 def _position_scales(gen: GeneratorSpec, n: int, bound: int):
@@ -258,13 +280,14 @@ def enumerate_quiddities(
         raise ValueError("coefficient bound must be >= 0")
     vals = _coeff_values(gen, bound)
     if firsts is None:
-        shards, cost = ([None] if n == 2 else vals), predicted_nodes(len(vals), n)
-    elif n == 2 or len(set(firsts)) != len(firsts) or not set(firsts) <= set(vals):
+        shards, count, levels = ([None] if n == 2 else vals), 1, n
+    elif n == 2 or len(set(firsts)) != len(firsts) or not all(f in vals for f in firsts):
         raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
     else:
-        shards, cost = list(firsts), len(firsts) * predicted_nodes(len(vals), n - 1)
-    if cost > work_limit:
-        raise WorkLimitExceeded(f"enumeration would visit {cost} nodes (limit {work_limit})")
+        shards, count, levels = list(firsts), len(firsts), n - 1
+    cost, text = priced_nodes(count, vals.stop - vals.start, levels)
+    if cost is None or cost > work_limit:
+        raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
     chunks = _map_shards(gen, n, bound, shards, workers)
     return _collect(spec, [pair for chunk in chunks for pair in chunk])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Quiddity, SizeLimitError, TheoremViolation, canonical_form
+from .core import Quiddity, SizeLimitError, TheoremViolation, dihedral_orbit
 from .rings import GeneratorSpec
 
 TRIANGULATION_SIZE_LIMIT = 12
@@ -152,7 +152,7 @@ def quiddity_of_labeling(labeling: Labeling) -> Quiddity:
     return q.canonical()
 
 
-def _label_dfs(tri, values, completes_at, entry_set, target):
+def _label_dfs(tri, values, completes_at, entry_set, orbit):
     count = len(tri.triangles)
     sums = [0] * tri.size
     labels: list[int] = []
@@ -160,7 +160,7 @@ def _label_dfs(tri, values, completes_at, entry_set, target):
     def rec(depth):
         if depth == count:
             lab = Labeling(tri, tuple(labels))
-            if is_admissible(lab) and canonical_form(tuple(sums)) == target:
+            if tuple(sums) in orbit and is_admissible(lab):
                 return lab
             return None
         a, b, c = tri.triangles[depth]
@@ -201,8 +201,8 @@ def find_labeling(q: Quiddity, label_bound: int):
             f"labeling search supports n <= {LABEL_SEARCH_SIZE_LIMIT} "
             f"and label bound <= {LABEL_SEARCH_BOUND_LIMIT}"
         )
-    target_elements = tuple(c * s for c in q.coeffs)
-    target = canonical_form(target_elements)
+    target = tuple(c * s for c in q.coeffs)
+    orbit = frozenset(dihedral_orbit(target))
     entry_set = set(target)
     values = list(range(-label_bound, label_bound + 1))
     for tri in enumerate_triangulations(n):
@@ -210,7 +210,7 @@ def find_labeling(q: Quiddity, label_bound: int):
         completes_at: list[list[int]] = [[] for _ in tri.triangles]
         for v, tids in enumerate(incidence):
             completes_at[max(tids)].append(v)
-        hit = _label_dfs(tri, values, completes_at, entry_set, target)
+        hit = _label_dfs(tri, values, completes_at, entry_set, orbit)
         if hit is not None:
             return hit
     return None

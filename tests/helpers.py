@@ -11,7 +11,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 
-from quiddity import GeneratorSpec, Int, Poly, Quad, is_quiddity, sum_oplus
+from quiddity import GeneratorSpec, Int, Poly, Quad, dihedral_orbit, is_quiddity, sum_oplus
 
 SMALL = st.integers(-6, 6)
 
@@ -114,6 +114,16 @@ def gen_pair_embedding(gen):
 
 
 # --- exhaustive oracles ------------------------------------------------------
+
+
+def canonical_form(t):
+    """Dihedral minimum under the ring elements' own order (plain ints as
+    rationals): the element-level oracle for canonical_coeffs."""
+    t = tuple(t)
+    if not t:
+        raise ValueError("empty tuple")
+    key = lambda x: (0, x) if isinstance(x, int) else x.sort_key()  # noqa: E731
+    return min(dihedral_orbit(t), key=lambda u: tuple(map(key, u)))
 
 
 def brute_enumerate(gen, n, bound):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,14 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_script(*argv, cwd):
+    return subprocess.run(
+        [sys.executable, str(CONJECTURE_SEARCH), *argv],
+        capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1])},
+    )
 
 
 def run_cli_subprocess(*argv):
@@ -257,20 +267,20 @@ class TestEvenSearch:
         assert code == 3
         assert ck.exists()
         code, resumed = run_cli(
-            "even-search", "--size", "6", "--bound", "2",
-            "--checkpoint", str(ck), "--resume",
+            "even-search", "--size", "6", "--bound", "2", "--checkpoint", str(ck)
         )
         assert code == 0
         code, single = run_cli("even-search", "--size", "6", "--bound", "2")
         assert code == 0
         assert resumed == single
 
-    def test_resume_needs_existing_checkpoint(self, tmp_path):
-        code, _ = run_cli(
-            "even-search", "--size", "6", "--bound", "1",
-            "--checkpoint", str(tmp_path / "missing.json"), "--resume",
-        )
-        assert code == 2
+    def test_missing_checkpoint_starts_fresh_and_is_written(self, tmp_path):
+        ck = tmp_path / "missing.json"
+        args = ("even-search", "--size", "6", "--bound", "1")
+        code, out = run_cli(*args, "--checkpoint", str(ck))
+        assert code == 0 and out == run_cli(*args)[1]
+        state = EvenSearchState.load(ck)
+        assert state.complete and (state.size, state.bound) == (6, 1)
 
     @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
     def test_untrusted_checkpoint_is_usage_error(self, case, tmp_path, capsys):
@@ -280,7 +290,7 @@ class TestEvenSearch:
         state = json.loads((tmp_path / "s.json").read_text())
         edit = _BAD_CHECKPOINTS[case]
         (tmp_path / "s.json").write_text(edit if isinstance(edit, str) else json.dumps(edit(state)))
-        code, out = run_cli(*args, "--resume")
+        code, out = run_cli(*args)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error:")
 
@@ -301,19 +311,33 @@ class TestEvenSearch:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("resume", [False, True])
-    def test_directory_as_checkpoint_is_usage_error(self, resume, tmp_path, capsys):
+    @pytest.mark.parametrize("guard_sweep", [False, True])
+    def test_directory_as_checkpoint_is_usage_error(
+        self, guard_sweep, tmp_path, capsys, monkeypatch
+    ):
+        if guard_sweep:  # the refusal must come before any sweep
+            def sweep(*args, **kwargs):
+                raise AssertionError("swept before checking the checkpoint path")
+
+            monkeypatch.setattr(cli, "search_evenly_irreducible", sweep)
         args = ["even-search", "--size", "6", "--bound", "1", "--checkpoint", str(tmp_path)]
-        code, out = run_cli(*args, *(["--resume"] if resume else []))
+        code, out = run_cli(*args)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_checkpoint_is_usage_error(self, tmp_path, capsys):
+        ck = tmp_path / "deep.json"
+        ck.write_text("[" * 200_000)
+        code, out = run_cli("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: bad checkpoint")
 
     def test_unaffordable_shard_names_its_cost(self, tmp_path, capsys):
         ck = tmp_path / "c.json"
         args = ["even-search", "--size", "14", "--bound", "3", "--work-limit", "1000"]
         empty = EvenSearchState(14, 3, "up-to-equivalence", (), ()).to_json()
-        for extra in ([], ["--resume"]):
-            code, out = run_cli(*args, "--checkpoint", str(ck), *extra)
+        for _ in range(2):  # the second run resumes from the first one's checkpoint
+            code, out = run_cli(*args, "--checkpoint", str(ck))
             assert code == 3 and out == ""
             err = capsys.readouterr().err
             assert f"one shard needs {predicted_nodes(7, 13)} nodes (limit 1000)" in err
@@ -334,15 +358,86 @@ class TestConjectureSearchScript:
         ],
     )
     def test_bad_flag_is_usage_error_before_any_write(self, flag, value, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(CONJECTURE_SEARCH), flag, value],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1])},
-        )
+        proc = run_script(flag, value, cwd=tmp_path)
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"error: argument {flag}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, path", [("--checkpoint-dir", "missing"), ("--evidence", "missing/e.jsonl")]
+    )
+    def test_missing_directory_is_usage_error_before_sweeping(self, flag, path, tmp_path):
+        proc = run_script("--sizes", "4", "--bound", "1", flag, str(tmp_path / path), cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: the directory of" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corrupt_checkpoint_is_usage_error_before_sweeping(self, tmp_path):
+        ck = tmp_path / "even_search_n4_b1_up-to-equivalence.json"
+        ck.write_text("{")
+        proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [ck] and ck.read_text() == "{"
+
+    def test_unwritable_evidence_is_usage_error(self, tmp_path):
+        (tmp_path / "ev").mkdir()
+        proc = run_script("--sizes", "4", "--bound", "1", "--evidence", "ev", cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: evidence 'ev'" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_rerun_over_complete_checkpoint_appends_again(self, tmp_path):
+        for _ in range(2):
+            proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path)
+            assert proc.returncode == 0
+            assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
+        first, second = (tmp_path / "even_irreducible_evidence.jsonl").read_text().splitlines()
+        assert first == second and json.loads(first)["count"] == 2
+
+
+class TestPricing:
+    """A sweep is priced before anything of its size is built, and refusing
+    it always exits 3."""
+
+    @pytest.mark.parametrize(
+        "argv, cost",
+        [
+            (["enumerate", "--gen", "z"], "enumeration would visit {} nodes"),
+            (["even-search"], "one shard needs {} nodes"),
+        ],
+        ids=["enumerate", "even-search"],
+    )
+    def test_wide_bound_is_refused_without_building_it(self, argv, cost, capsys):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(*argv, "--size", "4", "--bound", "300000", "--work-limit", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert peak < 1_000_000
+        nodes = predicted_nodes(600_001, 4 if argv[0] == "enumerate" else 3)
+        assert cost.format(nodes) + " (limit 1000)" in capsys.readouterr().err
+
+    def test_bound_beyond_machine_integers_exits_3(self, capsys):
+        bound = 10**20
+        code, out = run_cli(
+            "enumerate", "--gen", "z", "--size", "4", "--bound", str(bound), "--work-limit", "1000"
+        )
+        assert code == 3 and out == ""
+        nodes = predicted_nodes(2 * bound + 1, 4)
+        assert f"would visit {nodes} nodes (limit 1000)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--gen", "z"], ["even-search"]], ids=["enumerate", "even-search"]
+    )
+    def test_unprintable_cost_is_a_true_lower_bound(self, argv, capsys):
+        code, out = run_cli(*argv, "--size", "20000", "--bound", "1", "--work-limit", "1000")
+        assert code == 3 and out == ""
+        (k,) = re.findall(r"more than 10\^(\d+) nodes \(limit 1000\)", capsys.readouterr().err)
+        levels = 20000 if argv[0] == "enumerate" else 19999
+        assert int(k) > 4300 and predicted_nodes(3, levels) > 10 ** int(k)
 
 
 class TestHelpAndErrors:
@@ -404,6 +499,11 @@ class TestHelpAndErrors:
     def test_bad_tuple_json(self):
         code, _ = run_cli("verify", "--gen", "z", "--tuple", "[1,")
         assert code == 2
+
+    def test_deeply_nested_tuple_is_usage_error(self, capsys):
+        code, out = run_cli("verify", "--gen", "z", "--tuple", "[" * 100_000)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_selftest_quick_passes():

@@ -164,6 +164,15 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_evenly_irreducible(6, 2, state=state)
 
+    def test_deeply_nested_checkpoint_json_is_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            EvenSearchState.from_json("[" * 200_000)
+
+    def test_shards_outside_the_bound_are_a_mismatch(self):
+        state = EvenSearchState(6, 1, MODE_EQUIV, (-1, 0, 5), (), complete=True)
+        with pytest.raises(ValueError, match="does not match"):
+            search_evenly_irreducible(6, 1, state=state)
+
     def test_one_decomposition_call_per_class(self, monkeypatch):
         import quiddity.even as even
 

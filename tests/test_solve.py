@@ -3,6 +3,8 @@ and the two-small-entries probe, each against an exhaustive oracle."""
 
 from __future__ import annotations
 
+import math
+import sys
 from itertools import product
 
 import pytest
@@ -27,6 +29,7 @@ from quiddity import (
     solve_tail2,
     sum_oplus,
 )
+from quiddity.solve import predicted_nodes, priced_nodes
 
 from helpers import brute_decomposition, brute_enumerate, brute_tail_completions
 
@@ -134,6 +137,25 @@ class TestEnumerate:
     def test_work_limit_is_a_precondition(self):
         with pytest.raises(WorkLimitExceeded):
             enumerate_quiddities(EnumSpec(Z, 8, 4), work_limit=100)
+
+    def test_predicted_nodes_counts_the_prefix_tree(self):
+        for v in range(1, 6):
+            for n in range(9):
+                assert predicted_nodes(v, n) == 1 + sum(v**i for i in range(1, n - 1))
+
+    def test_priced_nodes_is_exact_or_a_true_lower_bound(self):
+        digits = sys.get_int_max_str_digits()
+        for v in (2, 10, 11):
+            edge = int(digits / math.log10(v))
+            for n in range(edge - 6, edge + 6):
+                for count in (1, v - 1):
+                    cost = count * predicted_nodes(v, n)
+                    exact, text = priced_nodes(count, v, n)
+                    if exact is None:
+                        k = int(text.removeprefix("more than 10^"))
+                        assert digits - 3 <= k and 10**k < cost
+                    else:
+                        assert exact == cost and text == str(cost)
 
     def test_zero_generator_deduplicates_coefficients(self):
         found = enumerate_quiddities(EnumSpec(GeneratorSpec.from_string("z:0"), 4, 3))

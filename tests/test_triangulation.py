@@ -14,7 +14,6 @@ from quiddity import (
     NotAdmissibleError,
     Quiddity,
     SizeLimitError,
-    canonical_form,
     enumerate_quiddities,
     enumerate_triangulations,
     find_labeling,
@@ -22,6 +21,8 @@ from quiddity import (
     quiddity_of_labeling,
     render_labeling,
 )
+
+from helpers import canonical_form
 
 Z = GeneratorSpec.from_string("z")
 
