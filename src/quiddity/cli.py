@@ -16,14 +16,8 @@ import sys
 
 from .core import Quiddity, TheoremViolation, is_quiddity
 from .even import MODE_EQUIV, MODES, EvenSearchState, search_evenly_irreducible
-from .maps import OddSizeError, phi, phi_inverse, rescale_even, rescale_even_inverse
-from .rings import (
-    ElementSyntaxError,
-    GeneratorSpec,
-    GeneratorSyntaxError,
-    format_element,
-    parse_element,
-)
+from .maps import phi, phi_inverse, rescale_even, rescale_even_inverse
+from .rings import GeneratorSpec, format_element, parse_element
 from .solve import (
     DEFAULT_WORK_LIMIT,
     EnumSpec,
@@ -83,6 +77,8 @@ def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("tuple JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--tuple is not JSON: {exc}") from None
     if not isinstance(data, list) or not data:
         raise ValueError("tuple must be a non-empty JSON array")
     coeffs = []
@@ -216,11 +212,7 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_decompose(args, out) -> int:
     q = _verified_input(args)
-    witness = None
-    if q.size >= 4:
-        witness = find_decomposition(
-            q, min_left=args.min_left, min_right=args.min_right, parity=args.parity
-        )
+    witness = find_decomposition(q, parity=args.parity)
     payload = {
         "config": _config(args),
         "input": _quiddity_payload(q),
@@ -298,11 +290,15 @@ def _cmd_triangulate(args, out) -> int:
 
 def _checkpoint_io(call, path):
     """call(path) for a checkpoint load or save; an OSError there means a bad
-    --checkpoint path, so it becomes a usage error (exit 2)."""
+    --checkpoint path and a ValueError bad contents, so both become a usage
+    error (exit 2) that names the path."""
     try:
         return call(path)
     except OSError as exc:
         raise ValueError(f"checkpoint {path!r}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        detail = str(exc).removeprefix("bad checkpoint: ")
+        raise ValueError(f"bad checkpoint {path!r}: {detail}") from exc
 
 
 def _cmd_even_search(args, out) -> int:
@@ -397,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, workers=False, work_limit=False)
     p.add_argument("--tuple", required=True)
     p.add_argument("--parity", choices=("any", "even"), default="any")
-    p.add_argument("--min-left", type=int, default=3)
-    p.add_argument("--min-right", type=int, default=3)
     p.set_defaults(handler=_cmd_decompose)
 
     p = subs.add_parser("phi", help="alternating-sign transport between i*sqrt(k) and sqrt(k)")
@@ -450,14 +444,7 @@ def main(argv=None, out=None) -> int:
     except WorkLimitExceeded as exc:
         print(f"work limit: {exc}", file=sys.stderr)
         return EXIT_WORK_LIMIT
-    except (
-        GeneratorSyntaxError,
-        ElementSyntaxError,
-        NotAQuiddityError,
-        OddSizeError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # bad syntax, unverified input, bad checkpoint, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,7 +44,7 @@ def _even_verdicts(q: Quiddity) -> tuple[bool, bool]:
     Lemma: find_decomposition scans the literal tuple first (rotation 0,
     unreflected), so it returns a rotation-0, unreflected witness exactly
     when the literal tuple splits."""
-    w = find_decomposition(q, min_left=4, min_right=4, parity=PARITY_EVEN)
+    w = find_decomposition(q, parity=PARITY_EVEN)
     return w is not None and w.rotation == 0 and not w.reflected, w is not None
 
 
@@ -127,6 +127,8 @@ class EvenSearchState:
             obj = json.loads(text)
         except RecursionError:
             raise ValueError("bad checkpoint: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"bad checkpoint: not JSON ({exc})") from None
         _require(
             isinstance(obj, dict) and sorted(obj) == sorted(_STATE_KEYS),
             f"expected exactly the keys {list(_STATE_KEYS)}",

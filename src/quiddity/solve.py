@@ -9,25 +9,28 @@ and a Kronecker substitution X := M for the formal symbol), so that a
 coefficient tuple solves over the generator exactly when the scaled integer
 tuple solves over Z.  The walker visits the first n-2 coefficients depth
 first while accumulating the ordered product as four plain integers, then
-completes the final two entries in closed form.  Everything it emits is a
-plain Quiddity that re-verifies through the generic matrix route, and the
-test suite holds the two routes against each other.
+completes the final two entries in closed form (_complete).  Everything it
+emits is a plain Quiddity that re-verifies through the generic matrix route,
+and the test suite holds the two routes against each other.
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
 is a fixed window of the representative and its two boundary entries are
 forced by the window's matrix product.  Enumerating candidate summands
-instead could never terminate over an infinite subgroup.
+instead could never terminate over an infinite subgroup.  The scan runs on
+the walker's scaled integers and closed-form completion; the generic
+RingElem/Mat2 route serves only verification, solve_tail2 and the oracles.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import Mat2, Quiddity, canonical_coeffs, is_quiddity, mat_of
+from .core import Mat2, Quiddity, canonical_coeffs
 from .rings import GeneratorSpec, NoModulusError, cmp_abs_squared_with_4
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -136,7 +139,7 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
     size n has no solutions at all.
 
     Integer generator w = s: the entries are the integers s*c_j, so every
-    position carries s (s = 0 is the zero generator, handled by the walker).
+    position carries s (s = 0 is the zero generator, handled by _complete).
 
     Lemma (quadratic, w**2 = D with D = p*scale**2 from the ring).  A
     continuant of L entries c_j*w is a signed sum of products of L - 2*i
@@ -170,7 +173,8 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
     has coefficients of modulus below M.  A nonzero polynomial g with
     |g_i| < M has g(M) != 0 (M divides the lowest nonzero coefficient
     otherwise), so the four equalities hold in Z[X] and the tuple solves
-    over <X>.  Hence M = 2*(F(n+1)*B'**n + B'**2 + 1) + 1.
+    over <X>.  Hence M = 2*(F(n+1)*B'**n + B'**2 + 1) + 1.  The scan's
+    windows are shorter; _scan_representative bounds them by M/4.
     """
     kind, p, scale = gen.ring
     if kind == "int":
@@ -186,6 +190,26 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
     return (2 * (fib * b ** n + b * b + 1) + 1,) * n
 
 
+def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
+    """(kx, ky, eps) with M(sy*ky)*M(sx*kx)*P = eps*Id, |kx|, |ky| <= limit
+    (>= 0 when nonneg), or None, for an integer product P with p11 = +-1:
+    solve_tail2's closed form, divided back by the scales (0 takes only 0).
+    """
+    eps = -p11
+    x = -eps * p21
+    y = eps * p12
+    if x * y - 1 != eps * p22:
+        return None
+    if sx == 0:
+        return (0, 0, eps) if x == 0 and y == 0 else None
+    if x % sx or y % sy:
+        return None
+    kx, ky = x // sx, y // sy
+    if abs(kx) > limit or abs(ky) > limit or (nonneg and (kx < 0 or ky < 0)):
+        return None
+    return kx, ky, eps
+
+
 def _run_shard(gen, n, bound, first):
     """Enumerate all solutions whose first coefficient is `first` (every
     solution when first is None, used for n = 2).
@@ -193,7 +217,7 @@ def _run_shard(gen, n, bound, first):
     One integer walker serves every ring through _position_scales: the
     first n-2 coefficients are walked depth first on the flat integer
     product of the scaled entries, and the last two are completed in closed
-    form as in solve_tail2, then divided back by their scales.
+    form by _complete.
     """
     scales = _position_scales(gen, n, bound)
     found = []
@@ -207,19 +231,9 @@ def _run_shard(gen, n, bound, first):
 
     def tail(prefix, p11, p12, p21, p22):
         if p11 == 1 or p11 == -1:
-            eps = -p11
-            x = -eps * p21
-            y = eps * p12
-            if x * y - 1 == eps * p22:
-                if sx == 0:
-                    if x == 0 and y == 0:
-                        emit((prefix + (0, 0), eps))
-                elif x % sx == 0 and y % sy == 0:
-                    kx, ky = x // sx, y // sy
-                    if abs(kx) <= bound and abs(ky) <= bound and not (
-                        nonneg and (kx < 0 or ky < 0)
-                    ):
-                        emit((prefix + (kx, ky), eps))
+            hit = _complete(p11, p12, p21, p22, sx, sy, bound, nonneg)
+            if hit is not None:
+                emit((prefix + hit[:2], hit[2]))
 
     def rec(depth, prefix, p11, p12, p21, p22):
         if depth == n - 2:
@@ -242,7 +256,9 @@ def _run_shard_star(args):
 
 def _map_shards(gen, n, bound, shards, workers):
     args = [(gen, n, bound, first) for first in shards]
-    if workers <= 1 or len(args) <= 1:
+    # the executor starts all max_workers processes at the first submit
+    workers = min(workers, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_shard(*a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_shard_star, args))
@@ -327,82 +343,70 @@ class Decomposition:
         }
 
 
-def _scan_representative(rep, gen, min_left, min_right, parity):
-    """First forced-boundary split of one fixed representative, or None.
+def _scan_representative(rep, gen, parity):
+    """First split rep = left (+) right of one fixed representative, as
+    (left, right, sign of right), or None.
 
-    Scans right-summand sizes l ascending; the interior window rep[m:] grows
-    one factor at a time so each candidate costs one matrix multiply.
+    Runs on the kernel's integers: rep is scaled by _position_scales, the
+    window rep[m:] (m = n + 2 - l) grows by one factor per right size l, and
+    the summand rotated to (rep[m:], last, first) is completed by _complete
+    with the scales that continue the window's, scales[m] and
+    scales[(m+1) % n].  Quadratic generators skip odd l (no odd size
+    solves); an even window starts at an even m, so the summand carries
+    1, D, ..., 1, D and the quadratic lemma of _position_scales decides it.
+    Lemma (<X>): a window of at most n - 3 entries c_j*X, |c_j| <= B', has
+    continuant coefficients of modulus at most F(n-2)*B'**(n-3) < M/4.  With
+    boundary coefficients below M/2, the identities tested at X = M
+    (P11 = -eps, P21 = -eps*kx*X, P12 = eps*ky*X) are differences of
+    coefficients below M, so they hold in Z[X], and the fourth follows from
+    det P = 1; a true boundary coefficient is a continuant coefficient, so
+    none is lost.  left is not tested: M(x + y) = -M(x)*M(0)*M(y) gives the
+    splice lemma, by which left verifies whenever rep and right do.
     """
     n = len(rep)
-    l_max = n + 2 - min_left
-    elems = [gen.embed(c) for c in rep]
-    mats = [mat_of(e) for e in elems]
-    block = Mat2.identity()
-    ws = n
-    for l in range(3, l_max + 1):
+    scales = _position_scales(gen, n, max(map(abs, rep), default=0))
+    if scales is None:
+        return None
+    kind = gen.ring[0]
+    even_sizes = kind == "quad" or parity == PARITY_EVEN
+    limit = scales[0] // 2 if kind == "poly" else math.inf
+    b11, b12, b21, b22 = 1, 0, 0, 1
+    for l in range(3, n):
         m = n + 2 - l
-        while ws > m:
-            ws -= 1
-            block = block * mats[ws]
-        if l < min_right:
+        e = rep[m] * scales[m]
+        b11, b12, b21, b22 = b11 * e + b12, -b11, b21 * e + b22, -b21
+        if (even_sizes and (l % 2 or m % 2)) or b11 not in (1, -1):
             continue
-        if parity == PARITY_EVEN and (l % 2 or m % 2):
-            continue
-        r = block.e11.rational_value()
-        if r not in (1, -1):
-            continue
-        eps = -r
-        b_first = eps * block.e12
-        b_last = (-eps) * block.e21
-        if block.e22 != eps * (b_first * b_last - 1):
-            continue
-        kb_first = gen.extract(b_first)
-        kb_last = gen.extract(b_last)
-        if kb_first is None or kb_last is None:
-            continue
-        ka_first = rep[0] - kb_last
-        ka_last = rep[m - 1] - kb_first
-        if gen.nonneg and (ka_first < 0 or ka_last < 0):
-            continue
-        left = (ka_first,) + rep[1 : m - 1] + (ka_last,)
-        if is_quiddity(tuple(gen.embed(c) for c in left)) is None:
-            continue
-        right = (kb_first,) + rep[m:] + (kb_last,)
-        return left, right, eps
+        hit = _complete(b11, b12, b21, b22, scales[m], scales[(m + 1) % n], limit, gen.nonneg)
+        if hit is not None:
+            x, y, eps = hit  # right = (y, *rep[m:], x)
+            left = (rep[0] - x,) + rep[1 : m - 1] + (rep[m - 1] - y,)
+            if not (gen.nonneg and min(left[0], left[-1]) < 0):
+                return left, (y,) + rep[m:] + (x,), eps
     return None
 
 
-def find_decomposition(
-    q: Quiddity,
-    min_left: int = 3,
-    min_right: int = 3,
-    parity: str = PARITY_ANY,
-):
+def find_decomposition(q: Quiddity, parity: str = PARITY_ANY):
     """First splice decomposition q ~ left (+) right, or None.
 
-    Scan order is rotation index, then reflection flag, then right-summand
-    size ascending, so witnesses are reproducible across runs and platforms.
+    Both summands have size >= 3; parity "even" asks for even sizes, which
+    are then >= 4.  Scan order is rotation index, then reflection flag, then
+    right-summand size ascending, so witnesses are reproducible across runs
+    and platforms.  A sign on q is trusted as Quiddity asserts it: the left
+    summand verifies only because q does.
     """
     if parity not in (PARITY_ANY, PARITY_EVEN):
         raise ValueError(f"unknown parity {parity!r}")
-    if min_left < 3 or min_right < 3:
-        raise ValueError("summand sizes below 3 are never legal")
-    eps = q.sign if q.sign is not None else q.verify()
-    if eps is None:
+    if q.sign is None and q.verify() is None:
         raise NotAQuiddityError("decomposition is defined for verified tuples")
-    n = q.size
-    if parity == PARITY_EVEN and n % 2:
-        return None
-    for rotation in range(n):
+    for rotation in range(q.size):
         for reflected in (False, True):
             base = q.coeffs[::-1] if reflected else q.coeffs
             rep = base[rotation:] + base[:rotation]
-            hit = _scan_representative(rep, q.gen, min_left, min_right, parity)
+            hit = _scan_representative(rep, q.gen, parity)
             if hit is not None:
-                left, right, right_eps = hit
-                return Decomposition(
-                    rotation, reflected, rep, left, Quiddity(q.gen, right, right_eps)
-                )
+                left, right, eps = hit
+                return Decomposition(rotation, reflected, rep, left, Quiddity(q.gen, right, eps))
     return None
 
 
@@ -412,13 +416,10 @@ def is_irreducible(q: Quiddity) -> bool:
 
     Size 2 is excluded by convention; size 3 admits no legal split.
     """
-    eps = q.sign if q.sign is not None else q.verify()
-    if eps is None:
+    if q.sign is None and q.verify() is None:
         raise NotAQuiddityError("irreducibility is defined for verified tuples")
-    if q.size == 2:
-        return False
-    if q.size == 3:
-        return True
+    if q.size <= 3:
+        return q.size == 3
     return find_decomposition(q) is None
 
 

@@ -11,7 +11,19 @@ from itertools import product
 
 import hypothesis.strategies as st
 
-from quiddity import GeneratorSpec, Int, Poly, Quad, dihedral_orbit, is_quiddity, sum_oplus
+from quiddity import (
+    Decomposition,
+    GeneratorSpec,
+    Int,
+    Mat2,
+    Poly,
+    Quad,
+    Quiddity,
+    dihedral_orbit,
+    is_quiddity,
+    mat_of,
+    sum_oplus,
+)
 
 SMALL = st.integers(-6, 6)
 
@@ -137,7 +149,44 @@ def brute_enumerate(gen, n, bound):
     return out
 
 
-def brute_decomposition(q, min_left=3, min_right=3, parity="any", boundary_bound=6):
+def generic_decomposition(q, parity="any"):
+    """find_decomposition on generic Mat2/RingElem arithmetic, with the left
+    summand verified too: the slow oracle for the integer scan, in the same
+    scan order, so whole witnesses compare equal."""
+    gen, n = q.gen, q.size
+    if parity == "even" and n % 2:
+        return None
+    for rotation in range(n):
+        for reflected in (False, True):
+            base = q.coeffs[::-1] if reflected else q.coeffs
+            rep = base[rotation:] + base[:rotation]
+            block = Mat2.identity()
+            for l in range(3, n):
+                m = n + 2 - l
+                block = block * mat_of(gen.embed(rep[m]))
+                if parity == "even" and (l % 2 or m % 2):
+                    continue
+                r = block.e11.rational_value()
+                if r not in (1, -1):
+                    continue
+                eps = -r
+                b_first, b_last = eps * block.e12, (-eps) * block.e21
+                if block.e22 != eps * (b_first * b_last - 1):
+                    continue
+                kb_first, kb_last = gen.extract(b_first), gen.extract(b_last)
+                if kb_first is None or kb_last is None:
+                    continue
+                left = (rep[0] - kb_last,) + rep[1 : m - 1] + (rep[m - 1] - kb_first,)
+                if gen.nonneg and min(left[0], left[-1]) < 0:
+                    continue
+                if is_quiddity(tuple(gen.embed(c) for c in left)) is None:
+                    continue
+                right = Quiddity(gen, (kb_first,) + rep[m:] + (kb_last,), eps)
+                return Decomposition(rotation, reflected, rep, left, right)
+    return None
+
+
+def brute_decomposition(q, parity="any", boundary_bound=6):
     """Exhaustive splice-decomposition scan with bounded boundary entries.
 
     Completeness of the bound is asserted separately against the exact
@@ -149,7 +198,7 @@ def brute_decomposition(q, min_left=3, min_right=3, parity="any", boundary_bound
         base = q.coeffs[::-1] if reflected else q.coeffs
         for r in range(n):
             rep = base[r:] + base[:r]
-            for l in range(min_right, n + 2 - min_left + 1):
+            for l in range(3, n):
                 m = n + 2 - l
                 if parity == "even" and (l % 2 or m % 2):
                     continue

@@ -60,19 +60,25 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def _env(**extra):
+    """The environment of a child process: it imports the package this suite
+    imported (src/ in a checkout), with extra variables set."""
+    return {**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1]), **extra}
+
+
 def run_script(*argv, cwd):
     return subprocess.run(
         [sys.executable, str(CONJECTURE_SEARCH), *argv],
-        capture_output=True, text=True, cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1])},
+        capture_output=True, text=True, cwd=cwd, env=_env(),
     )
 
 
-def run_cli_subprocess(*argv):
+def run_cli_subprocess(*argv, **env):
     proc = subprocess.run(
         [sys.executable, "-m", "quiddity", *argv],
         capture_output=True,
         text=True,
+        env=_env(**env),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -187,10 +193,16 @@ class TestDecompose:
     def test_even_parity_mode(self):
         code, out = run_cli(
             "decompose", "--gen", "z", "--tuple", "[1,1,1,1,1,1]",
-            "--parity", "even", "--min-left", "4", "--min-right", "4",
+            "--parity", "even",
         )
         assert code == 0
         assert json.loads(out)["reducible"] is False
+
+    @pytest.mark.parametrize("flag", ["--min-left", "--min-right"])
+    def test_summand_size_flags_are_gone(self, flag, capsys):
+        code, out = run_cli("decompose", "--gen", "z", "--tuple", "[1,1,1,1,1,1]", flag, "4")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_solution_is_usage_error(self):
         code, _ = run_cli("decompose", "--gen", "z", "--tuple", "[1,1]")
@@ -332,6 +344,18 @@ class TestEvenSearch:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: bad checkpoint")
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [(b"{", "not JSON (Expecting property name"), (b"\xff\xfe", "'utf-8' codec can't decode")],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_undecodable_checkpoint_names_its_path(self, content, detail, tmp_path, capsys):
+        ck = tmp_path / "c.json"
+        ck.write_bytes(content)
+        code, out = run_cli("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(ck))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: bad checkpoint {str(ck)!r}: {detail}")
+
     def test_unaffordable_shard_names_its_cost(self, tmp_path, capsys):
         ck = tmp_path / "c.json"
         args = ["even-search", "--size", "14", "--bound", "3", "--work-limit", "1000"]
@@ -446,23 +470,17 @@ class TestHelpAndErrors:
         assert code == 0
 
     def test_work_limit_env_var_sets_default(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiddity", "enumerate",
-             "--gen", "z", "--size", "8", "--bound", "4"],
-            capture_output=True, text=True,
-            env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "10"},
+        code, _, _ = run_cli_subprocess(
+            "enumerate", "--gen", "z", "--size", "8", "--bound", "4", QUIDDITY_WORK_LIMIT="10"
         )
-        assert proc.returncode == 3
+        assert code == 3
 
     def test_malformed_work_limit_env_var_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiddity", "enumerate",
-             "--gen", "z", "--size", "4", "--bound", "2"],
-            capture_output=True, text=True,
-            env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "abc"},
+        code, out, err = run_cli_subprocess(
+            "enumerate", "--gen", "z", "--size", "4", "--bound", "2", QUIDDITY_WORK_LIMIT="abc"
         )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "work-limit" in proc.stderr
+        assert code == 2 and out == ""
+        assert "work-limit" in err
 
     def test_negative_work_limit_is_usage_error(self, capsys):
         code, out = run_cli(
@@ -476,14 +494,11 @@ class TestHelpAndErrors:
         assert code == 3
 
     def test_negative_work_limit_env_var_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quiddity", "enumerate",
-             "--gen", "z", "--size", "4", "--bound", "2"],
-            capture_output=True, text=True,
-            env={**__import__("os").environ, "QUIDDITY_WORK_LIMIT": "-5"},
+        code, out, err = run_cli_subprocess(
+            "enumerate", "--gen", "z", "--size", "4", "--bound", "2", QUIDDITY_WORK_LIMIT="-5"
         )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "error: argument --work-limit" in proc.stderr
+        assert code == 2 and out == ""
+        assert "error: argument --work-limit" in err
 
     def test_worker_count_below_one_is_usage_error(self):
         for workers in ("0", "-3"):
@@ -496,9 +511,10 @@ class TestHelpAndErrors:
         code, _, _ = run_cli_subprocess()
         assert code == 2
 
-    def test_bad_tuple_json(self):
-        code, _ = run_cli("verify", "--gen", "z", "--tuple", "[1,")
-        assert code == 2
+    def test_bad_tuple_json(self, capsys):
+        code, out = run_cli("verify", "--gen", "z", "--tuple", "[1,")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: --tuple is not JSON: Expecting value")
 
     def test_deeply_nested_tuple_is_usage_error(self, capsys):
         code, out = run_cli("verify", "--gen", "z", "--tuple", "[" * 100_000)

@@ -63,7 +63,7 @@ class TestEvenReducibility:
 
         for n in (6, 8):
             for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
-                hit = _scan_representative(q.coeffs, Z, 4, 4, "even")
+                hit = _scan_representative(q.coeffs, Z, "even")
                 if hit is None:
                     continue
                 left, right, _ = hit
@@ -76,7 +76,7 @@ class TestEvenReducibility:
 
         for n in (6, 8):
             for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
-                literal = _scan_representative(q.coeffs, Z, 4, 4, "even") is not None
+                literal = _scan_representative(q.coeffs, Z, "even") is not None
                 assert is_evenly_reducible(q, MODE_STRICT) is literal
 
     def test_preconditions(self):

@@ -29,9 +29,16 @@ from quiddity import (
     solve_tail2,
     sum_oplus,
 )
+from quiddity import solve
 from quiddity.solve import predicted_nodes, priced_nodes
 
-from helpers import brute_decomposition, brute_enumerate, brute_tail_completions
+from helpers import (
+    GENERATORS,
+    brute_decomposition,
+    brute_enumerate,
+    brute_tail_completions,
+    generic_decomposition,
+)
 
 Z = GeneratorSpec.from_string("z")
 N = GeneratorSpec.from_string("z+nonneg")
@@ -134,6 +141,34 @@ class TestEnumerate:
         parallel = enumerate_quiddities(EnumSpec(Z, 5, 2), workers=3)
         assert serial == parallel
 
+    def test_pool_never_outgrows_shards_or_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:  # records its size and maps in-process: starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(solve, "ProcessPoolExecutor", RecordingPool)
+        for cpus, spec, pools in (
+            (4, EnumSpec(Z, 4, 1), [3]),  # 3 shards
+            (4, EnumSpec(Z, 6, 3), [4]),  # 7 shards, 4 CPUs
+            (None, EnumSpec(Z, 6, 3), []),  # CPU count unknown: serial
+        ):
+            started.clear()
+            monkeypatch.setattr(solve.os, "cpu_count", lambda: cpus)
+            serial = enumerate_quiddities(spec)
+            assert enumerate_quiddities(spec, workers=100_000) == serial
+            assert started == pools
+
     def test_work_limit_is_a_precondition(self):
         with pytest.raises(WorkLimitExceeded):
             enumerate_quiddities(EnumSpec(Z, 8, 4), work_limit=100)
@@ -174,7 +209,7 @@ class TestDecomposition:
 
     def test_even_mode_all_ones_is_stuck(self):
         q = Quiddity.verified(Z, (1, 1, 1, 1, 1, 1))
-        assert find_decomposition(q, min_left=4, min_right=4, parity="even") is None
+        assert find_decomposition(q, parity="even") is None
         assert find_decomposition(q) is not None  # plain reducibility does hold
 
     def test_zero_entry_makes_large_tuples_reducible(self):
@@ -185,30 +220,45 @@ class TestDecomposition:
                         assert find_decomposition(q) is not None
 
     def test_witnesses_re_verify(self):
-        for gen in (Z, SQRT2, GAUSS):
+        for gen, parity in product(GENERATORS, ("any", "even")):
             for n in range(4, 7):
                 for q in enumerate_quiddities(EnumSpec(gen, n, 2, canonical_only=True)):
-                    d = find_decomposition(q)
+                    d = find_decomposition(q, parity)
                     if d is None:
                         continue
                     assert sum_oplus(d.left, d.right.coeffs) == d.representative
                     assert d.right.verify() == d.right.sign
                     assert d.left_size >= 3 and d.right_size >= 3
                     assert d.left_size + d.right_size - 2 == q.size
+                    if parity == "even":
+                        assert d.left_size % 2 == 0 and d.right_size % 2 == 0
                     base = q.coeffs[::-1] if d.reflected else q.coeffs
                     rot = d.rotation
                     assert d.representative == base[rot:] + base[:rot]
-                    left_q = Quiddity.verified(q.gen, d.left)
-                    assert left_q is not None
+                    # the scan never tests the left summand: the splice lemma does
+                    assert Quiddity.verified(q.gen, d.left) is not None
 
     def test_matches_brute_force_decomposer(self):
-        for n in range(4, 7):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 1, canonical_only=True)):
-                exact = find_decomposition(q)
-                brute = brute_decomposition(q, boundary_bound=4)
-                assert (exact is None) == (brute is None)
-                if exact is not None:
-                    assert all(abs(c) <= 4 for c in (exact.right.coeffs[0], exact.right.coeffs[-1]))
+        for gen, parity in product(GENERATORS, ("any", "even")):
+            for n in range(4, 7):
+                for q in enumerate_quiddities(EnumSpec(gen, n, 1, canonical_only=True)):
+                    exact = find_decomposition(q, parity)
+                    brute = brute_decomposition(q, parity, boundary_bound=4)
+                    assert (exact is None) == (brute is None), (gen.to_string(), q.coeffs, parity)
+                    if exact is not None:
+                        assert all(abs(c) <= 4 for c in (exact.right.coeffs[0], exact.right.coeffs[-1]))
+
+    def test_witnesses_equal_the_generic_oracle(self):
+        classes = 0
+        for gen in GENERATORS + [GeneratorSpec.from_string("z:0")]:
+            for n in range(4, 9):
+                for q in enumerate_quiddities(EnumSpec(gen, n, 2, canonical_only=True)):
+                    classes += 1
+                    for parity in ("any", "even"):
+                        assert find_decomposition(q, parity) == generic_decomposition(q, parity), (
+                            gen.to_string(), q.coeffs, parity
+                        )
+        assert classes == 1423  # 1420 over GENERATORS, one zero tuple per even n over z:0
 
     def test_requires_verified_input(self):
         with pytest.raises(NotAQuiddityError):
