@@ -11,7 +11,6 @@ off-diagonal continuant windows, so it is fixed here once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rings import GeneratorSpec, Int, RingElem
 
@@ -155,20 +154,37 @@ def dihedral_orbit(t):
     return rotations(t) + rotations(t[::-1])
 
 
-@lru_cache(maxsize=None)
-def _coeff_key(c: int, gen: GeneratorSpec):
-    # element order first; the raw coefficient only breaks exact-element ties
-    # (those occur just for the zero generator, whose embedding is constant)
-    return (gen.embed(c).sort_key(), c)
+_BELOW_ALL = float("-inf")  # the rank of 0 over quad and poly generators
+
+
+def _ranks(coeffs: tuple, gen: GeneratorSpec) -> tuple:
+    """Each coefficient's rank under the element order (see canonical_coeffs)."""
+    kind, s, _ = gen.ring
+    if kind != "int":
+        return tuple(c if c else _BELOW_ALL for c in coeffs)
+    return coeffs if s >= 0 else tuple(-c for c in coeffs)
 
 
 def canonical_coeffs(coeffs, gen: GeneratorSpec):
-    """Canonical dihedral representative of a coefficient tuple, ordered by
-    the elements the coefficients generate."""
+    """Canonical dihedral representative of a coefficient tuple: the least of
+    its 2n rotations and reflections in the order of the elements c*w, which
+    puts rationals first, by value, then irrationals by their coefficient on
+    sqrt(d) or X.
+
+    Rank lemma: on one generator's coefficients that order embeds into the
+    integers and -inf, so the plain tuple minimum of the ranked rotations,
+    mapped back, is the canonical form.  For ``int`` (w = s) the rank is c if
+    s >= 0 and -c if s < 0; at s = 0 every element is 0 and c is the
+    tie-break.  For ``quad`` and ``poly``, 0 is the only rational and ranks
+    -inf, and a nonzero c ranks c: this needs scale > 0 in GeneratorSpec.ring
+    (w = scale*sqrt(d)), as a negative scale would reverse that order.
+    """
     t = tuple(coeffs)
     if not t:
         raise ValueError("empty tuple")
-    return min(dihedral_orbit(t), key=lambda u: tuple(_coeff_key(c, gen) for c in u))
+    ranked = _ranks(t, gen)
+    back = dict(zip(ranked, t))
+    return tuple(back[r] for r in min(dihedral_orbit(ranked)))
 
 
 def sum_oplus(a, b):
@@ -228,11 +244,7 @@ class Quiddity:
 
     def order_key(self):
         cc = self.canonical_coeffs()
-        return (
-            len(cc),
-            tuple(_coeff_key(c, self.gen) for c in cc),
-            tuple(_coeff_key(c, self.gen) for c in self.coeffs),
-        )
+        return (len(cc), _ranks(cc, self.gen), _ranks(self.coeffs, self.gen))
 
     def to_json_dict(self, irreducible: bool | None = None) -> dict:
         out = {

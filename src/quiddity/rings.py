@@ -51,16 +51,14 @@ class RingElem:
 
     Equality identifies rational integers across representations, e.g.
     ``Int(2) == Quad(2, 0, 5) == Poly((2,))``; hashing is consistent with
-    that.  ``sort_key`` gives the fixed total order canonical forms use.
+    that.  Elements carry no order: canonical forms rank the coefficients of
+    one generator instead (see core.canonical_coeffs).
     """
 
     __slots__ = ()
 
     def rational_value(self) -> int | None:
         """The element as a plain integer when it is one, else None."""
-        raise NotImplementedError
-
-    def sort_key(self):
         raise NotImplementedError
 
     def is_zero(self) -> bool:
@@ -126,9 +124,6 @@ class Int(RingElem):
     def rational_value(self):
         return self.n
 
-    def sort_key(self):
-        return (0, self.n)
-
     def _add(self, other):
         return Int(self.n + other.n)
 
@@ -159,11 +154,6 @@ class Quad(RingElem):
 
     def rational_value(self):
         return self.a if self.b == 0 else None
-
-    def sort_key(self):
-        if self.b == 0:
-            return (0, self.a)
-        return (1, self.b, self.a, self.d)
 
     def _add(self, o):
         return Quad(self.a + o.a, self.b + o.b, self.d)
@@ -205,12 +195,6 @@ class Poly(RingElem):
         if len(self.coeffs) == 1:
             return self.coeffs[0]
         return None
-
-    def sort_key(self):
-        r = self.rational_value()
-        if r is not None:
-            return (0, r)
-        return (2, len(self.coeffs), self.coeffs)
 
     def _padded(self, o):
         n = max(len(self.coeffs), len(o.coeffs))

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import Mat2, Quiddity, canonical_coeffs
@@ -260,6 +259,8 @@ def _map_shards(gen, n, bound, shards, workers):
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_shard(*a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # ~2 MB, 20 ms: only when used
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_shard_star, args))
 

@@ -7,10 +7,13 @@ paths are always held against something slower and simpler.
 
 from __future__ import annotations
 
+import os
 from itertools import product
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import quiddity
 from quiddity import (
     Decomposition,
     GeneratorSpec,
@@ -26,6 +29,12 @@ from quiddity import (
 )
 
 SMALL = st.integers(-6, 6)
+
+
+def child_env(**extra):
+    """The environment of a child process: it imports the package this suite
+    imported (src/ in a checkout), with extra variables set."""
+    return {**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1]), **extra}
 
 
 def int_elems():
@@ -128,13 +137,30 @@ def gen_pair_embedding(gen):
 # --- exhaustive oracles ------------------------------------------------------
 
 
-def canonical_form(t):
-    """Dihedral minimum under the ring elements' own order (plain ints as
-    rationals): the element-level oracle for canonical_coeffs."""
+def element_key(x):
+    """The element order canonical forms follow: rational elements first, by
+    value (plain ints count as rationals), then quadratic a + b*w by (b, a, d),
+    then polynomials by degree and coefficients."""
+    r = x if isinstance(x, int) else x.rational_value()
+    if r is not None:
+        return (0, r)
+    if isinstance(x, Quad):
+        return (1, x.b, x.a, x.d)
+    return (2, len(x.coeffs), x.coeffs)
+
+
+def coeff_key(gen):
+    """Order on gen's coefficients: element order of c*w, ties broken by c
+    (only the zero generator embeds distinct coefficients equally)."""
+    return lambda c: (element_key(gen.embed(c)), c)
+
+
+def canonical_form(t, key=element_key):
+    """Dihedral minimum under key, by default the element order: the oracle
+    for canonical_coeffs, which ranks coefficients instead."""
     t = tuple(t)
     if not t:
         raise ValueError("empty tuple")
-    key = lambda x: (0, x) if isinstance(x, int) else x.sort_key()  # noqa: E731
     return min(dihedral_orbit(t), key=lambda u: tuple(map(key, u)))
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-import quiddity
 from quiddity import EvenSearchState, GeneratorSpec, Quiddity, audits, cli
 from quiddity.cli import main
 from quiddity.solve import predicted_nodes
+
+from helpers import child_env
 
 CONJECTURE_SEARCH = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_search.py"
 
@@ -60,16 +60,10 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def _env(**extra):
-    """The environment of a child process: it imports the package this suite
-    imported (src/ in a checkout), with extra variables set."""
-    return {**os.environ, "PYTHONPATH": str(Path(quiddity.__file__).parents[1]), **extra}
-
-
 def run_script(*argv, cwd):
     return subprocess.run(
         [sys.executable, str(CONJECTURE_SEARCH), *argv],
-        capture_output=True, text=True, cwd=cwd, env=_env(),
+        capture_output=True, text=True, cwd=cwd, env=child_env(),
     )
 
 
@@ -78,7 +72,7 @@ def run_cli_subprocess(*argv, **env):
         [sys.executable, "-m", "quiddity", *argv],
         capture_output=True,
         text=True,
-        env=_env(**env),
+        env=child_env(**env),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

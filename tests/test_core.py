@@ -3,6 +3,8 @@ zero/unit collapse rewrites."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -28,7 +30,7 @@ from quiddity import (
     sum_oplus,
 )
 
-from helpers import GENERATORS, canonical_form, gen_pair_embedding, pair_sign
+from helpers import GENERATORS, canonical_form, coeff_key, gen_pair_embedding, pair_sign
 
 Z = GeneratorSpec.from_string("z")
 
@@ -205,6 +207,10 @@ class TestSpliceSum:
 
 small_int_tuples = st.lists(st.integers(-4, 4), min_size=1, max_size=7).map(tuple)
 
+# every ring kind of the rank lemma: integer scales of each sign and zero,
+# quadratic real and imaginary (square radicands included) and X
+RANK_GENERATORS = GENERATORS + [GeneratorSpec.from_string("z:0")]
+
 
 class TestCanonicalForm:
     @given(t=small_int_tuples)
@@ -232,6 +238,25 @@ class TestCanonicalForm:
         cc = canonical_coeffs((0, 1, 0, -1), gen)
         elems = canonical_form(tuple(gen.embed(c) for c in (0, 1, 0, -1)))
         assert tuple(gen.embed(c) for c in cc) == elems
+
+    @pytest.mark.parametrize("gen", RANK_GENERATORS, ids=lambda g: g.to_string())
+    def test_ranks_follow_element_order(self, gen):
+        key = coeff_key(gen)
+        for n in range(1, 6):
+            for t in product(range(-2, 3), repeat=n):
+                cc = canonical_coeffs(t, gen)
+                assert cc == canonical_form(t, key)
+                assert tuple(map(gen.embed, cc)) == canonical_form(map(gen.embed, t))
+
+    @pytest.mark.parametrize("gen", RANK_GENERATORS, ids=lambda g: g.to_string())
+    def test_order_key_follows_element_order(self, gen):
+        key = coeff_key(gen)
+
+        def oracle(q):
+            return (q.size, tuple(map(key, canonical_form(q.coeffs, key))), tuple(map(key, q.coeffs)))
+
+        qs = [Quiddity(gen, t) for n in range(1, 5) for t in product(range(-2, 3), repeat=n)]
+        assert sorted(qs, key=Quiddity.order_key) == sorted(qs, key=oracle)
 
 
 class TestQuiddityType:

@@ -23,7 +23,7 @@ from quiddity import (
     parse_element,
 )
 
-from helpers import GENERATORS, int_elems, poly_elems, quad_elems
+from helpers import GENERATORS, element_key, int_elems, poly_elems, quad_elems
 
 
 class TestArithmetic:
@@ -153,6 +153,15 @@ class TestGeneratorSpec:
         assert g.extract(Quad(0, 6, -1)) == 3
         assert g.extract(Quad(0, 3, -1)) is None
 
+    def test_scale_is_positive_for_every_family(self):
+        # canonical_coeffs ranks nonzero quad coefficients by c, which is the
+        # element order only while w = scale*sqrt(d) has scale > 0
+        gens = [GeneratorSpec(fam, k, nonneg) for fam in ("sqrt", "isqrt") for k in range(50)
+                for nonneg in (False, True)]
+        gens += [GeneratorSpec("int", s) for s in range(-5, 6)] + [GeneratorSpec("alpha")]
+        for gen in gens + GENERATORS:
+            assert gen.ring[2] > 0, gen
+
     def test_extract_examples(self):
         assert GeneratorSpec.from_string("sqrt:3").extract(Quad(0, -3, 3)) == -3
         assert GeneratorSpec.from_string("sqrt:2").extract(Quad(1, 1, 2)) is None
@@ -243,7 +252,8 @@ class TestElementGrammar:
         assert parse_element(format_element(x)) == x
 
     def test_sort_key_consistent_with_equality(self):
-        assert Int(2).sort_key() == Quad(2, 0, 5).sort_key() == Poly((2,)).sort_key()
+        assert element_key(Int(2)) == element_key(Quad(2, 0, 5)) == element_key(Poly((2,)))
+        assert element_key(Int(2)) == element_key(2)
         items = [Int(2), Quad(0, 1, 2), Quad(0, -1, 2), Int(-5), Poly((0, 1))]
-        ordered = sorted(items, key=lambda x: x.sort_key())
+        ordered = sorted(items, key=element_key)
         assert ordered[0] == Int(-5)

@@ -3,7 +3,9 @@ and the two-small-entries probe, each against an exhaustive oracle."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import subprocess
 import sys
 from itertools import product
 
@@ -37,6 +39,7 @@ from helpers import (
     brute_decomposition,
     brute_enumerate,
     brute_tail_completions,
+    child_env,
     generic_decomposition,
 )
 
@@ -157,7 +160,7 @@ class TestEnumerate:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(solve, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for cpus, spec, pools in (
             (4, EnumSpec(Z, 4, 1), [3]),  # 3 shards
             (4, EnumSpec(Z, 6, 3), [4]),  # 7 shards, 4 CPUs
@@ -168,6 +171,14 @@ class TestEnumerate:
             serial = enumerate_quiddities(spec)
             assert enumerate_quiddities(spec, workers=100_000) == serial
             assert started == pools
+
+    def test_import_loads_no_pool_machinery(self):
+        # only a run that starts a pool pays for concurrent.futures and multiprocessing
+        code = ("import sys, quiddity.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env(), check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_work_limit_is_a_precondition(self):
         with pytest.raises(WorkLimitExceeded):
