@@ -157,8 +157,9 @@ def dihedral_orbit(t):
 _BELOW_ALL = float("-inf")  # the rank of 0 over quad and poly generators
 
 
-def _ranks(coeffs: tuple, gen: GeneratorSpec) -> tuple:
-    """Each coefficient's rank under the element order (see canonical_coeffs)."""
+def coeff_ranks(coeffs: tuple, gen: GeneratorSpec) -> tuple:
+    """Each coefficient's rank under the element order (see canonical_coeffs);
+    the tuple itself when the ranks are the coefficients (int, s >= 0)."""
     kind, s, _ = gen.ring
     if kind != "int":
         return tuple(c if c else _BELOW_ALL for c in coeffs)
@@ -178,13 +179,32 @@ def canonical_coeffs(coeffs, gen: GeneratorSpec):
     tie-break.  For ``quad`` and ``poly``, 0 is the only rational and ranks
     -inf, and a nonzero c ranks c: this needs scale > 0 in GeneratorSpec.ring
     (w = scale*sqrt(d)), as a negative scale would reverse that order.
+
+    Only rotations that start at a minimal rank are compared, forward and
+    reflected: the least rotation starts with the least rank, so no other
+    can be the minimum (Booth 1980).
     """
     t = tuple(coeffs)
     if not t:
         raise ValueError("empty tuple")
-    ranked = _ranks(t, gen)
+    ranked = coeff_ranks(t, gen)
+    n = len(ranked)
+    low = min(ranked)
+    fwd = ranked + ranked
+    bwd = fwd[::-1]
+    best = fwd  # above the first rotation compared: it starts higher or has it as a prefix
+    for i in range(n):
+        if ranked[i] == low:
+            u = fwd[i : i + n]
+            if u < best:
+                best = u
+            u = bwd[n - 1 - i : 2 * n - 1 - i]  # reflection read back from i
+            if u < best:
+                best = u
+    if ranked is t:
+        return best
     back = dict(zip(ranked, t))
-    return tuple(back[r] for r in min(dihedral_orbit(ranked)))
+    return tuple(back[r] for r in best)
 
 
 def sum_oplus(a, b):
@@ -244,7 +264,7 @@ class Quiddity:
 
     def order_key(self):
         cc = self.canonical_coeffs()
-        return (len(cc), _ranks(cc, self.gen), _ranks(self.coeffs, self.gen))
+        return (len(cc), coeff_ranks(cc, self.gen), coeff_ranks(self.coeffs, self.gen))
 
     def to_json_dict(self, irreducible: bool | None = None) -> dict:
         out = {

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Quiddity
+from .core import Quiddity, coeff_ranks
 from .maps import OddSizeError
 from .rings import GeneratorSpec
 from .solve import (
@@ -254,6 +254,6 @@ def search_evenly_irreducible(
     results = sorted(
         ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()
          if mode == MODE_STRICT or not red),
-        key=lambda pair: pair[0].order_key(),
+        key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # order_key of canonical tuples
     )
     return results, final

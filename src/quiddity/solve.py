@@ -1,5 +1,5 @@
-"""Decision procedures over bounded coefficient spaces: closed-form completion
-of the last two entries, exhaustive enumeration, the exact splice
+"""Decision procedures over bounded coefficient spaces: closed-form solving
+of the last three entries, exhaustive enumeration, the exact splice
 decomposition test, and irreducible classification.
 
 The enumeration core is one integer walker for every ring.  Each position
@@ -7,8 +7,10 @@ gets an integer scale (see _position_scales and its two lemmas: the
 alternating scales 1, D, 1, D, ... for a quadratic generator with w**2 = D,
 and a Kronecker substitution X := M for the formal symbol), so that a
 coefficient tuple solves over the generator exactly when the scaled integer
-tuple solves over Z.  The walker visits the first n-2 coefficients depth
-first while accumulating the ordered product as four plain integers, then
+tuple solves over Z.  The walker visits the first n-3 coefficients depth
+first while accumulating the ordered product as four plain integers, solves
+for the third-from-last entry (at most two candidates, and the whole level
+only where the product's upper-left entry is 0; see _run_shard), then
 completes the final two entries in closed form (_complete).  Everything it
 emits is a plain Quiddity that re-verifies through the generic matrix route,
 and the test suite holds the two routes against each other.
@@ -29,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import Mat2, Quiddity, canonical_coeffs
+from .core import Mat2, Quiddity, canonical_coeffs, coeff_ranks
 from .rings import GeneratorSpec, NoModulusError, cmp_abs_squared_with_4
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -104,7 +106,12 @@ def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
 
 def predicted_nodes(num_values: int, size: int) -> int:
     """DFS states for a full prefix tree over size-2 levels, root included:
-    1 + v + ... + v**(size-2) for v = num_values."""
+    1 + v + ... + v**(size-2) for v = num_values.
+
+    An upper bound on the states the walker visits: it solves for the last
+    level's entry instead of walking it (see _run_shard), and walks that
+    level in full only below products with upper-left entry 0.  The work
+    limit prices this bound."""
     if size <= 2:
         return 1
     if num_values == 1:
@@ -209,14 +216,38 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     return kx, ky, eps
 
 
+def _third_entries(p11, p21, s, vals):
+    """The c in vals, ascending, for which the entry e = c*s turns a prefix
+    product with first column (p11, p21) and det 1 into one with
+    e*p11 - p21 = +-1: the only entries after which _complete can fire (see
+    _run_shard)."""
+    q = p11 * s
+    if q == 0:  # p11 = 0 forces p21 = +-1 by det 1; s = 0 makes e = 0
+        return vals if p21 in (1, -1) else ()
+    lo, hi = p21 - 1, p21 + 1
+    if q < 0:
+        q, lo, hi = -q, -hi, -lo
+    return [num // q for num in (lo, hi) if num % q == 0 and num // q in vals]
+
+
 def _run_shard(gen, n, bound, first):
     """Enumerate all solutions whose first coefficient is `first` (every
     solution when first is None, used for n = 2).
 
     One integer walker serves every ring through _position_scales: the
-    first n-2 coefficients are walked depth first on the flat integer
-    product of the scaled entries, and the last two are completed in closed
-    form by _complete.
+    first n-3 coefficients are walked depth first on the flat integer
+    product of the scaled entries, coefficient n-2 is solved for by
+    _third_entries, and the last two are completed in closed form by
+    _complete.
+
+    Lemma (closed-form third-from-last entry).  Let P = (p11, p12, p21,
+    p22) be the product of the first n-3 scaled entries, det P = 1.
+    Appending e = c*s (s the scale of position n-2) gives p11' = e*p11 -
+    p21, and _complete fires only when p11' = +-1.  If p11 != 0, then e is
+    (p21 - 1)/p11 or (p21 + 1)/p11: at most two c remain, each an exact
+    quotient by p11*s inside _coeff_values.  If p11 = 0, det P = -p12*p21 =
+    1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
+    walked in full, as it is when s = 0 (the zero generator, e = 0).
     """
     scales = _position_scales(gen, n, bound)
     found = []
@@ -225,7 +256,8 @@ def _run_shard(gen, n, bound, first):
     emit = found.append
     nonneg = gen.nonneg
     vals = _coeff_values(gen, bound)
-    levels = [[(c, c * s) for c in vals] for s in scales[: n - 2]]
+    levels = [[(c, c * s) for c in vals] for s in scales[: n - 3]]
+    s3 = scales[n - 3] if n > 2 else None
     sx, sy = scales[n - 2], scales[n - 1]
 
     def tail(prefix, p11, p12, p21, p22):
@@ -235,11 +267,15 @@ def _run_shard(gen, n, bound, first):
                 emit((prefix + hit[:2], hit[2]))
 
     def rec(depth, prefix, p11, p12, p21, p22):
-        if depth == n - 2:
+        if depth == n - 2:  # n = 2, or n = 3 with its first entry fixed
             tail(prefix, p11, p12, p21, p22)
-            return
-        for c, e in levels[depth]:
-            rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
+        elif depth == n - 3:
+            for c in _third_entries(p11, p21, s3, vals):
+                e = c * s3
+                tail(prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
+        else:
+            for c, e in levels[depth]:
+                rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
 
     if first is None:
         rec(0, (), 1, 0, 0, 1)
@@ -273,9 +309,10 @@ def _collect(spec: EnumSpec, found):
             cc = canonical_coeffs(coeffs, gen)
             if cc not in seen:
                 seen[cc] = eps
-        qs = [Quiddity(gen, cc, eps) for cc, eps in seen.items()]
-    else:
-        qs = [Quiddity(gen, coeffs, eps) for coeffs, eps in found]
+        # order_key of a canonical tuple of size n is (n, ranks, ranks)
+        ordered = sorted(seen, key=lambda cc: coeff_ranks(cc, gen))
+        return [Quiddity(gen, cc, seen[cc]) for cc in ordered]
+    qs = [Quiddity(gen, coeffs, eps) for coeffs, eps in found]
     qs.sort(key=Quiddity.order_key)
     return qs
 
@@ -287,8 +324,9 @@ def enumerate_quiddities(
 
     Sharded on the first coefficient (all values, or the distinct ones in
     firsts); results are merged and re-sorted, so worker count never changes
-    the output.  The swept node count is known up front, which keeps the work
-    limit a hard precondition rather than a mid-flight truncation.
+    the output.  The work limit prices the full prefix tree
+    (predicted_nodes), an upper bound on the nodes walked known up front,
+    which keeps it a hard precondition rather than a mid-flight truncation.
     """
     gen, n, bound = spec.gen, spec.size, spec.bound
     if n < 2:
@@ -434,12 +472,11 @@ def classify_irreducibles(
 ):
     """Canonical irreducible tuples for every size in [min_size, max_size]."""
     out = []
-    for n in range(min_size, max_size + 1):
+    for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
         spec = EnumSpec(gen, n, bound, canonical_only=True)
         for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
             if is_irreducible(q):
                 out.append(q)
-    out.sort(key=Quiddity.order_key)
     return out
 
 

@@ -27,6 +27,7 @@ from quiddity import (
     mat_of,
     sum_oplus,
 )
+from quiddity import solve
 
 SMALL = st.integers(-6, 6)
 
@@ -173,6 +174,35 @@ def brute_enumerate(gen, n, bound):
         if eps is not None:
             out.append((coeffs, eps))
     return out
+
+
+def full_walk_shard(gen, n, bound, first):
+    """solve._run_shard walking every one of the first n-2 levels in full,
+    the third-from-last included: the oracle for its closed-form entry."""
+    scales = solve._position_scales(gen, n, bound)
+    if scales is None:
+        return []
+    found = []
+    vals = solve._coeff_values(gen, bound)
+    sx, sy = scales[n - 2], scales[n - 1]
+
+    def rec(depth, prefix, p11, p12, p21, p22):
+        if depth == n - 2:
+            if p11 in (1, -1):
+                hit = solve._complete(p11, p12, p21, p22, sx, sy, bound, gen.nonneg)
+                if hit is not None:
+                    found.append((prefix + hit[:2], hit[2]))
+            return
+        for c in vals:
+            e = c * scales[depth]
+            rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
+
+    if first is None:
+        rec(0, (), 1, 0, 0, 1)
+    else:
+        e = first * scales[0]
+        rec(1, (first,), e, -1, 1, 0)
+    return found
 
 
 def generic_decomposition(q, parity="any"):

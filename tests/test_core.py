@@ -258,6 +258,17 @@ class TestCanonicalForm:
         qs = [Quiddity(gen, t) for n in range(1, 5) for t in product(range(-2, 3), repeat=n)]
         assert sorted(qs, key=Quiddity.order_key) == sorted(qs, key=oracle)
 
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.to_string())
+    @given(data=st.data())
+    def test_ties_at_the_minimal_rank(self, gen, data):
+        # at most three values in up to ten places: constant tuples,
+        # palindromes and repeated minima, where the candidate starts tie
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+        t = tuple(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=10)))
+        if data.draw(st.booleans()):
+            t = (t + t[::-1])[:10]
+        assert canonical_coeffs(t, gen) == canonical_form(t, coeff_key(gen))
+
 
 class TestQuiddityType:
     def test_verified_and_rejected(self):

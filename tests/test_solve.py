@@ -40,6 +40,7 @@ from helpers import (
     brute_enumerate,
     brute_tail_completions,
     child_env,
+    full_walk_shard,
     generic_decomposition,
 )
 
@@ -206,6 +207,44 @@ class TestEnumerate:
     def test_zero_generator_deduplicates_coefficients(self):
         found = enumerate_quiddities(EnumSpec(GeneratorSpec.from_string("z:0"), 4, 3))
         assert [q.coeffs for q in found] == [(0, 0, 0, 0)]
+
+
+# every ring kind, with the zero scale and a second negative one besides
+KERNEL_GENERATORS = GENERATORS + [GeneratorSpec.from_string(s) for s in ("z:0", "z:-3")]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
+    def test_shards_equal_the_full_walk(self, gen):
+        for n in range(2, 8 if gen.ring[0] == "poly" else 9):
+            for bound in range(4):
+                for first in [None] if n == 2 else solve._coeff_values(gen, bound):
+                    got = solve._run_shard(gen, n, bound, first)
+                    assert set(got) == set(full_walk_shard(gen, n, bound, first))
+                    assert len(got) == len(set(got))
+
+    @pytest.mark.parametrize(
+        "gen",
+        [g for g in KERNEL_GENERATORS if g.ring[0] == "int" and g.ring[1]],
+        ids=lambda g: g.to_string(),
+    )
+    def test_zero_first_entry_walks_the_third_level(self, gen):
+        # at n = 4 the product before the third-from-last entry has p11 =
+        # 0*s = 0, so every entry there completes: (0, m, 0, -m) over Z
+        for bound in range(4):
+            want = {(c, eps) for c, eps in brute_enumerate(gen, 4, bound) if c[0] == 0}
+            assert set(solve._run_shard(gen, 4, bound, 0)) == want
+            if gen == Z:
+                assert len(want) == 2 * bound + 1
+
+    def test_third_entries_are_exactly_the_completable_ones(self):
+        for vals in (range(-3, 4), range(0, 4), range(1)):
+            for s in range(-4, 5):
+                for p11, p21 in product(range(-7, 8), repeat=2):
+                    if math.gcd(p11, p21) != 1:
+                        continue  # no det-1 product has this first column
+                    got = solve._third_entries(p11, p21, s, vals)
+                    assert list(got) == [c for c in vals if c * s * p11 - p21 in (1, -1)]
 
 
 class TestDecomposition:
