@@ -22,10 +22,9 @@ from .core import (
 )
 from .even import MODE_EQUIV, is_evenly_reducible
 from .maps import phi, phi_inverse, rescale_even
-from .rings import GeneratorSpec, Int, Poly, Quad
+from .rings import GeneratorSpec, Int, NoModulusError, Poly, Quad
 from .solve import (
     EnumSpec,
-    check_two_small_entries,
     classify_irreducibles,
     enumerate_quiddities,
     is_irreducible,
@@ -112,6 +111,21 @@ def classification_probe(gen_strings, max_size, bound, workers=1):
             )
         else:
             yield ProbeResult(f"classification[{text}]", True, f"{len(got)} classes")
+
+
+def check_two_small_entries(q: Quiddity) -> bool:
+    """True when at least two positions carry an entry of modulus below 2.
+
+    Every verified tuple over a subset of C is expected to satisfy this; the
+    enumeration suites call it as a falsification probe and treat False as a
+    counterexample.  On integers: |c*w|**2 = c**2 * N, with N = s**2 for
+    w = s and N = scale**2 * |d| for w = scale*sqrt(d).
+    """
+    if not q.gen.has_modulus():
+        raise NoModulusError("two-small-entries needs a modulus; not defined over X")
+    kind, p, scale = q.gen.ring
+    norm = p * p if kind == "int" else scale * scale * abs(p)
+    return sum(c * c * norm < 4 for c in q.coeffs) >= 2
 
 
 def small_entries_probe(gen_strings, max_size, bound, workers=1):

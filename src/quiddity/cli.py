@@ -125,8 +125,8 @@ def _config(args) -> dict:
     return config
 
 
-def _quiddity_payload(q: Quiddity, irreducible=None) -> dict:
-    out = q.to_json_dict(irreducible)
+def _quiddity_payload(q: Quiddity, irreducible=None, is_canonical=False) -> dict:
+    out = q.to_json_dict(irreducible, is_canonical)
     out["size"] = q.size
     out["elements"] = [format_element(e) for e in q.elements()]
     return out
@@ -192,7 +192,8 @@ def _cmd_enumerate(args, out) -> int:
     gen = GeneratorSpec.from_string(args.gen)
     spec = EnumSpec(gen, args.size, args.bound, canonical_only=args.canonical_only)
     found = enumerate_quiddities(spec, work_limit=args.work_limit, workers=args.workers)
-    _emit_items(args, _config(args), [_quiddity_payload(q) for q in found], out)
+    items = [_quiddity_payload(q, is_canonical=args.canonical_only) for q in found]
+    _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
 
@@ -205,7 +206,7 @@ def _cmd_classify(args, out) -> int:
         work_limit=args.work_limit,
         workers=args.workers,
     )
-    items = [_quiddity_payload(q, irreducible=True) for q in found]
+    items = [_quiddity_payload(q, irreducible=True, is_canonical=True) for q in found]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
@@ -331,7 +332,7 @@ def _cmd_even_search(args, out) -> int:
         return EXIT_WORK_LIMIT
     if args.checkpoint:
         _checkpoint_io(final.save, args.checkpoint)
-    items = [{**_quiddity_payload(q), "equiv_reducible": red} for q, red in results]
+    items = [{**_quiddity_payload(q, is_canonical=True), "equiv_reducible": red} for q, red in results]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 

@@ -266,12 +266,14 @@ class Quiddity:
         cc = self.canonical_coeffs()
         return (len(cc), coeff_ranks(cc, self.gen), coeff_ranks(self.coeffs, self.gen))
 
-    def to_json_dict(self, irreducible: bool | None = None) -> dict:
+    def to_json_dict(self, irreducible: bool | None = None, is_canonical: bool = False) -> dict:
+        """The JSON payload; is_canonical=True skips recomputing the
+        canonical form of a tuple known to be in it."""
         out = {
             "coeffs": list(self.coeffs),
             "generator": self.gen.descriptor(),
             "sign": self.sign,
-            "canonical": list(self.canonical_coeffs()),
+            "canonical": list(self.coeffs if is_canonical else self.canonical_coeffs()),
         }
         if irreducible is not None:
             out["irreducible"] = irreducible

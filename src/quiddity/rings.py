@@ -1,6 +1,6 @@
 """Exact arithmetic for the coefficient rings behind cyclic-subgroup searches.
 
-Three element kinds cover every ambient ring the solvers need:
+Three element kinds cover every ambient ring of a generator:
 
 * ``Int``  -- plain unbounded integers.
 * ``Quad`` -- quadratic integers ``a + b*w`` with ``w**2 = d`` for a fixed
@@ -9,10 +9,12 @@ Three element kinds cover every ambient ring the solvers need:
 * ``Poly`` -- integer polynomials in a formal symbol ``X`` standing in for a
   transcendental number; coefficients lowest degree first, no trailing zeros.
 
-``GeneratorSpec`` describes an additive subgroup ``Z*w`` (``N*w`` with
-``nonneg=True``) of one of these rings and knows how to embed integer
-coefficients and extract them back.  Everything here is immutable and pure,
-so values can be shared freely across worker processes.
+The elements serve verification, parsing and formatting; the solvers work on
+plain integers read off ``GeneratorSpec.ring``.  ``GeneratorSpec`` describes
+an additive subgroup ``Z*w`` (``N*w`` with ``nonneg=True``) of one of these
+rings and knows how to embed integer coefficients and extract them back.
+Everything here is immutable and pure, so values can be shared freely across
+worker processes.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class GeneratorSyntaxError(ValueError):
 
 def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def _sign(n: int) -> int:
-    return (n > 0) - (n < 0)
 
 
 class RingElem:
@@ -257,37 +255,6 @@ def _common(x, y):
     if isinstance(y, Poly):
         return x, y
     raise MixedRingError("cannot mix polynomial and quadratic elements")
-
-
-def cmp_abs_squared_with_4(x) -> int:
-    """Compare |x|^2 with 4 exactly: -1, 0 or +1.
-
-    For real quadratic elements the comparison squares once more and splits
-    on signs, so no irrational value is ever evaluated.
-    """
-    if isinstance(x, int):
-        x = Int(x)
-    if isinstance(x, Int):
-        return _sign(x.n * x.n - 4)
-    if isinstance(x, Quad):
-        a, b, d = x.a, x.b, x.d
-        if d < 0:
-            return _sign(a * a + (-d) * b * b - 4)
-        # x real: x^2 = (a^2 + d b^2) + 2ab*sqrt(d); compare with 4
-        c = a * a + d * b * b - 4
-        e = 2 * a * b
-        if e == 0:
-            return _sign(c)
-        if c == 0:
-            return _sign(e)
-        if (c > 0) == (e > 0):
-            return _sign(c)
-        lhs = c * c
-        rhs = e * e * d
-        if lhs == rhs:
-            return 0
-        return _sign(c) if lhs > rhs else _sign(e)
-    raise NoModulusError("polynomial elements have no complex modulus")
 
 
 _FAMILIES = ("int", "sqrt", "isqrt", "alpha")

@@ -21,27 +21,24 @@ is a fixed window of the representative and its two boundary entries are
 forced by the window's matrix product.  Enumerating candidate summands
 instead could never terminate over an infinite subgroup.  The scan runs on
 the walker's scaled integers and closed-form completion; the generic
-RingElem/Mat2 route serves only verification, solve_tail2 and the oracles.
+RingElem/Mat2 route serves only verification and the test suite's oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .core import Mat2, Quiddity, canonical_coeffs, coeff_ranks
-from .rings import GeneratorSpec, NoModulusError, cmp_abs_squared_with_4
+from .core import Quiddity, canonical_coeffs, coeff_ranks
+from .rings import GeneratorSpec
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 
 PARITY_ANY = "any"
 PARITY_EVEN = "even"
-
-
-class NotUnimodularError(ValueError):
-    """Tail completion needs a determinant-1 prefix product."""
 
 
 class NotAQuiddityError(ValueError):
@@ -68,31 +65,6 @@ class EnumSpec:
     size: int
     bound: int
     canonical_only: bool = False
-
-
-def solve_tail2(P: Mat2, gen: GeneratorSpec):
-    """All (kx, ky, eps) with M(y)*M(x)*P = eps*Id, x = kx*w, y = ky*w.
-
-    M(y)*M(x) equals [[xy-1, -y], [x, -1]], so eps*P^-1 must carry -1 in its
-    lower-right entry; that forces eps, then x and y, and the upper-left
-    entry is the remaining consistency check.  At most one eps can match.
-    """
-    if P.det() != 1:
-        raise NotUnimodularError("tail completion needs det(P) = 1")
-    out = []
-    r = P.e11.rational_value()
-    for eps in (1, -1):
-        if r != -eps:
-            continue
-        x = (-eps) * P.e21
-        y = eps * P.e12
-        if x * y - 1 != eps * P.e22:
-            continue
-        kx = gen.extract(x)
-        ky = gen.extract(y)
-        if kx is not None and ky is not None:
-            out.append((kx, ky, eps))
-    return out
 
 
 def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
@@ -198,8 +170,11 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
 
 def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     """(kx, ky, eps) with M(sy*ky)*M(sx*kx)*P = eps*Id, |kx|, |ky| <= limit
-    (>= 0 when nonneg), or None, for an integer product P with p11 = +-1:
-    solve_tail2's closed form, divided back by the scales (0 takes only 0).
+    (>= 0 when nonneg), or None, for an integer product P with det 1 and
+    p11 = +-1.  M(y)*M(x) = [[x*y - 1, -y], [x, -1]] must equal eps*P**-1,
+    whose lower-right entry eps*p11 forces eps = -p11; then x = -eps*p21 and
+    y = eps*p12, checked by x*y - 1 = eps*p22, and divided back by the scales
+    (0 takes only 0).
     """
     eps = -p11
     x = -eps * p21
@@ -285,20 +260,18 @@ def _run_shard(gen, n, bound, first):
     return found
 
 
-def _run_shard_star(args):
-    return _run_shard(*args)
-
-
 def _map_shards(gen, n, bound, shards, workers):
-    args = [(gen, n, bound, first) for first in shards]
+    """Every shard's (coeffs, sign) pairs in shard order, flattened; the
+    serial path holds one shard's result at a time."""
+    run = functools.partial(_run_shard, gen, n, bound)
     # the executor starts all max_workers processes at the first submit
-    workers = min(workers, len(args), os.cpu_count() or 1)
+    workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
-        return [_run_shard(*a) for a in args]
+        return [pair for first in shards for pair in run(first)]
     from concurrent.futures import ProcessPoolExecutor  # ~2 MB, 20 ms: only when used
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_shard_star, args))
+        return [pair for chunk in pool.map(run, shards) for pair in chunk]
 
 
 def _collect(spec: EnumSpec, found):
@@ -343,8 +316,7 @@ def enumerate_quiddities(
     cost, text = priced_nodes(count, vals.stop - vals.start, levels)
     if cost is None or cost > work_limit:
         raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
-    chunks = _map_shards(gen, n, bound, shards, workers)
-    return _collect(spec, [pair for chunk in chunks for pair in chunk])
+    return _collect(spec, _map_shards(gen, n, bound, shards, workers))
 
 
 @dataclass(frozen=True)
@@ -478,21 +450,3 @@ def classify_irreducibles(
             if is_irreducible(q):
                 out.append(q)
     return out
-
-
-def check_two_small_entries(q: Quiddity) -> bool:
-    """True when at least two positions carry an entry of modulus below 2.
-
-    Every verified tuple over a subset of C is expected to satisfy this; the
-    enumeration suites call it as a falsification probe and treat False as a
-    counterexample.
-    """
-    if not q.gen.has_modulus():
-        raise NoModulusError("two-small-entries needs a modulus; not defined over X")
-    small = 0
-    for e in q.elements():
-        if cmp_abs_squared_with_4(e) < 0:
-            small += 1
-            if small >= 2:
-                return True
-    return False

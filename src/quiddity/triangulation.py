@@ -14,7 +14,6 @@ counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Quiddity, SizeLimitError, TheoremViolation, dihedral_orbit
 from .rings import GeneratorSpec
@@ -55,7 +54,6 @@ class Triangulation:
         return tuple(tuple(x) for x in inc)
 
 
-@lru_cache(maxsize=None)
 def enumerate_triangulations(size: int) -> tuple[Triangulation, ...]:
     """All triangulations of the convex polygon on 0..size-1, in a fixed
     recursive order; there are Catalan(size - 2) of them."""

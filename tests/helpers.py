@@ -1,8 +1,9 @@
 """Shared strategies and independent oracles for the suite.
 
 Oracles recompute expected behavior through deliberately different routes
-(plain integer-pair 2x2 matrices, exhaustive grid scans) so the package fast
-paths are always held against something slower and simpler.
+(plain integer-pair 2x2 matrices, exhaustive grid scans, the generic
+RingElem/Mat2 closed forms) so the package fast paths are always held
+against something slower and simpler.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from quiddity import (
     GeneratorSpec,
     Int,
     Mat2,
+    NoModulusError,
     Poly,
     Quad,
     Quiddity,
     dihedral_orbit,
     is_quiddity,
     mat_of,
+    product_matrix,
     sum_oplus,
 )
 from quiddity import solve
@@ -279,9 +282,14 @@ def brute_decomposition(q, parity="any", boundary_bound=6):
 def brute_tail_completions(prefix, gen, tail_bound):
     """All (kx, ky, eps) finishing the prefix, by exhaustive evaluation of the
     full product over the tail grid (with sound row-based pruning: the last
-    two product rows do not depend on the final entry)."""
-    embed, d = gen_pair_embedding(gen)
+    two product rows do not depend on the final entry).  Polynomial rings
+    have no pair arithmetic and go through the generic route instead."""
     lo = 0 if gen.nonneg else -tail_bound
+    if gen.ring[0] == "poly":
+        grid = product(range(lo, tail_bound + 1), repeat=2)
+        found = ((kx, ky, is_quiddity(tuple(map(gen.embed, (*prefix, kx, ky))))) for kx, ky in grid)
+        return sorted(hit for hit in found if hit[2] is not None)
+    embed, d = gen_pair_embedding(gen)
     P = pair_product([embed(c) for c in prefix], d) if prefix else PAIR_ID
     out = []
     for kx in range(lo, tail_bound + 1):
@@ -297,3 +305,93 @@ def brute_tail_completions(prefix, gen, tail_bound):
                 elif T[0] == (-1, 0) and T[3] == (-1, 0):
                     out.append((kx, ky, -1))
     return sorted(out)
+
+
+def kernel_tail(prefix, gen, tail_bound):
+    """solve._complete fed as the kernel feeds it: the integer product of the
+    prefix scaled by _position_scales, for tuples of size len(prefix) + 2
+    with every coefficient within tail_bound; a list of at most one hit."""
+    n = len(prefix) + 2
+    scales = solve._position_scales(gen, n, tail_bound)
+    if scales is None:
+        return []
+    p11, p12, p21, p22 = 1, 0, 0, 1
+    for c, s in zip(prefix, scales):
+        e = c * s
+        p11, p12, p21, p22 = e * p11 - p21, e * p12 - p22, p11, p12
+    if p11 not in (1, -1):
+        return []
+    hit = solve._complete(p11, p12, p21, p22, scales[n - 2], scales[n - 1], tail_bound, gen.nonneg)
+    return [] if hit is None else [hit]
+
+
+# --- the generic closed forms the integer routes replaced ---------------------
+
+
+class NotUnimodularError(ValueError):
+    """Tail completion needs a determinant-1 prefix product."""
+
+
+def solve_tail2(P: Mat2, gen: GeneratorSpec):
+    """All (kx, ky, eps) with M(y)*M(x)*P = eps*Id, x = kx*w, y = ky*w.
+
+    M(y)*M(x) equals [[xy-1, -y], [x, -1]], so eps*P^-1 must carry -1 in its
+    lower-right entry; that forces eps, then x and y, and the upper-left
+    entry is the remaining consistency check.  At most one eps can match.
+    """
+    if P.det() != 1:
+        raise NotUnimodularError("tail completion needs det(P) = 1")
+    out = []
+    r = P.e11.rational_value()
+    for eps in (1, -1):
+        if r != -eps:
+            continue
+        x = (-eps) * P.e21
+        y = eps * P.e12
+        if x * y - 1 != eps * P.e22:
+            continue
+        kx = gen.extract(x)
+        ky = gen.extract(y)
+        if kx is not None and ky is not None:
+            out.append((kx, ky, eps))
+    return out
+
+
+def prefix_matrix(prefix, gen):
+    """The generic product of the prefix's elements (the identity when empty)."""
+    return product_matrix(tuple(map(gen.embed, prefix))) if prefix else Mat2.identity()
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def cmp_abs_squared_with_4(x) -> int:
+    """Compare |x|^2 with 4 exactly: -1, 0 or +1.
+
+    For real quadratic elements the comparison squares once more and splits
+    on signs, so no irrational value is ever evaluated.
+    """
+    if isinstance(x, int):
+        x = Int(x)
+    if isinstance(x, Int):
+        return _sign(x.n * x.n - 4)
+    if isinstance(x, Quad):
+        a, b, d = x.a, x.b, x.d
+        if d < 0:
+            return _sign(a * a + (-d) * b * b - 4)
+        # x real: x^2 = (a^2 + d b^2) + 2ab*sqrt(d); compare with 4
+        c = a * a + d * b * b - 4
+        e = 2 * a * b
+        if e == 0:
+            return _sign(c)
+        if c == 0:
+            return _sign(e)
+        if (c > 0) == (e > 0):
+            return _sign(c)
+        lhs = c * c
+        rhs = e * e * d
+        if lhs == rhs:
+            return 0
+        return _sign(c) if lhs > rhs else _sign(e)
+    raise NoModulusError("polynomial elements have no complex modulus")

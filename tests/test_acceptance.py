@@ -13,14 +13,12 @@ from quiddity import (
     EnumSpec,
     GeneratorSpec,
     Int,
-    Mat2,
     MODE_EQUIV,
     MODE_STRICT,
     Poly,
     Quad,
     Quiddity,
     canonical_coeffs,
-    check_two_small_entries,
     classify_irreducibles,
     continuant_euler,
     continuant_rec,
@@ -36,12 +34,11 @@ from quiddity import (
     phi_inverse,
     product_matrix,
     quiddity_of_labeling,
-    solve_tail2,
     Labeling,
 )
-from quiddity.audits import link_probe
+from quiddity.audits import check_two_small_entries, link_probe
 
-from helpers import brute_decomposition, brute_tail_completions
+from helpers import brute_decomposition, brute_tail_completions, kernel_tail, prefix_matrix, solve_tail2
 
 Z = GeneratorSpec.from_string("z")
 NAT = GeneratorSpec.from_string("z+nonneg")
@@ -296,16 +293,14 @@ def test_criterion_10_oracle_equivalences():
                 assert abs(exact.right.coeffs[0]) <= 6
                 assert abs(exact.right.coeffs[-1]) <= 6
 
-    # closed-form tail completion vs exhaustive tails
+    # the kernel's closed-form tail completion vs the generic closed form
+    # and exhaustive tails
     for gen_text in ("z", "sqrt:2", "isqrt:1"):
         gen = GeneratorSpec.from_string(gen_text)
         for length in range(0, 5):
             for prefix in product(range(-3, 4), repeat=length):
-                elems = tuple(gen.embed(c) for c in prefix)
-                P = product_matrix(elems) if elems else Mat2.identity()
-                got = sorted(solve_tail2(P, gen))
-                for kx, ky, _ in got:
-                    assert abs(kx) <= 20 and abs(ky) <= 20
+                got = kernel_tail(prefix, gen, 20)
+                assert got == sorted(solve_tail2(prefix_matrix(prefix, gen), gen)), (gen_text, prefix)
                 assert got == brute_tail_completions(prefix, gen, 20), (gen_text, prefix)
     _finish(10, "oracle equivalences", started, 600)
 

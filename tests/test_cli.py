@@ -159,6 +159,50 @@ class TestEnumerate:
         assert serial == parallel
 
 
+def _rebind_everywhere(monkeypatch, fn, wrapper):
+    """Replace every binding of fn in the loaded quiddity modules."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "quiddity" or name.startswith("quiddity.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+class TestSerialization:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--gen", "z", "--size", "7", "--bound", "2", "--canonical-only"),
+            ("classify", "--gen", "sqrt:2", "--max-size", "6", "--bound", "2"),
+            ("even-search", "--size", "6", "--bound", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_canonical_tuples_are_not_canonicalized_again(self, argv, monkeypatch):
+        from quiddity.core import canonical_coeffs
+        from quiddity.solve import enumerate_quiddities
+
+        depth, calls = [0], {"inside": 0, "outside": 0}
+
+        def counted(*args, **kwargs):
+            calls["inside" if depth[0] else "outside"] += 1
+            return canonical_coeffs(*args, **kwargs)
+
+        def enumeration(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return enumerate_quiddities(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        _rebind_everywhere(monkeypatch, canonical_coeffs, counted)
+        _rebind_everywhere(monkeypatch, enumerate_quiddities, enumeration)
+        for fmt in ("json", "csv"):
+            code, out = run_cli(*argv, "--format", fmt)
+            assert code == 0 and out
+        assert calls["inside"] > 0 and calls["outside"] == 0
+
+
 class TestClassify:
     def test_integer_classes(self):
         code, out = run_cli("classify", "--gen", "z", "--max-size", "6", "--bound", "2")

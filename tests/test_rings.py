@@ -18,12 +18,11 @@ from quiddity import (
     NoModulusError,
     Poly,
     Quad,
-    cmp_abs_squared_with_4,
     format_element,
     parse_element,
 )
 
-from helpers import GENERATORS, element_key, int_elems, poly_elems, quad_elems
+from helpers import GENERATORS, cmp_abs_squared_with_4, element_key, int_elems, poly_elems, quad_elems
 
 
 class TestArithmetic:

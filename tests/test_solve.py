@@ -7,6 +7,7 @@ import concurrent.futures
 import math
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -18,30 +19,34 @@ from quiddity import (
     Mat2,
     NoModulusError,
     NotAQuiddityError,
-    NotUnimodularError,
     Quiddity,
     WorkLimitExceeded,
     canonical_coeffs,
-    check_two_small_entries,
     classify_irreducibles,
     enumerate_quiddities,
     find_decomposition,
     is_irreducible,
     product_matrix,
-    solve_tail2,
     sum_oplus,
 )
 from quiddity import solve
+from quiddity.audits import check_two_small_entries
 from quiddity.solve import predicted_nodes, priced_nodes
 
 from helpers import (
     GENERATORS,
+    MODULUS_GENERATORS,
+    NotUnimodularError,
     brute_decomposition,
     brute_enumerate,
     brute_tail_completions,
     child_env,
+    cmp_abs_squared_with_4,
     full_walk_shard,
     generic_decomposition,
+    kernel_tail,
+    prefix_matrix,
+    solve_tail2,
 )
 
 Z = GeneratorSpec.from_string("z")
@@ -49,42 +54,53 @@ N = GeneratorSpec.from_string("z+nonneg")
 SQRT2 = GeneratorSpec.from_string("sqrt:2")
 GAUSS = GeneratorSpec.from_string("isqrt:1")
 ALPHA = GeneratorSpec.from_string("alpha")
+MODULUS_EXTRAS = ("z:0", "z:-2", "sqrt:4", "isqrt:9")
 
 
 class TestSolveTail:
+    """solve._complete on the kernel's scaled integer products, held against
+    the generic closed form helpers.solve_tail2 and exhaustive tails."""
+
     def test_identity_prefix(self):
+        assert kernel_tail((), Z, 5) == [(0, 0, -1)]
         assert solve_tail2(Mat2.identity(), Z) == [(0, 0, -1)]
         assert brute_tail_completions((), Z, 5) == [(0, 0, -1)]
 
     def test_single_one_prefix(self):
-        P = product_matrix((Int(1),))
-        assert solve_tail2(P, Z) == [(1, 1, -1)]
+        assert kernel_tail((1,), Z, 5) == [(1, 1, -1)]
+        assert solve_tail2(product_matrix((Int(1),)), Z) == [(1, 1, -1)]
 
     def test_sqrt2_prefix(self):
-        P = product_matrix(tuple(SQRT2.embed(1) for _ in range(2)))
-        assert solve_tail2(P, SQRT2) == [(1, 1, -1)]
+        assert kernel_tail((1, 1), SQRT2, 4) == [(1, 1, -1)]
+        assert solve_tail2(prefix_matrix((1, 1), SQRT2), SQRT2) == [(1, 1, -1)]
         assert brute_tail_completions((1, 1), SQRT2, 4) == [(1, 1, -1)]
 
     def test_membership_filter(self):
         # completions must land inside the subgroup: over <2> the tuple
         # (1, 1, 1) is invisible
-        P = product_matrix((Int(1),))
-        assert solve_tail2(P, GeneratorSpec.from_string("z:2")) == []
+        z2 = GeneratorSpec.from_string("z:2")
+        assert kernel_tail((1,), z2, 5) == []
+        assert solve_tail2(product_matrix((Int(1),)), z2) == []
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(NotUnimodularError):
             solve_tail2(Mat2(Int(2), Int(0), Int(0), Int(1)), Z)
 
-    @pytest.mark.parametrize("gen", [Z, SQRT2, GAUSS], ids=lambda g: g.to_string())
+    @pytest.mark.parametrize(
+        "gen", [Z, SQRT2, GAUSS, GeneratorSpec.from_string("z:-2"), ALPHA], ids=lambda g: g.to_string()
+    )
     def test_completeness_small(self, gen):
-        for length in range(0, 3):
-            for prefix in product(range(-3, 4), repeat=length):
-                elems = tuple(gen.embed(c) for c in prefix)
-                P = product_matrix(elems) if elems else Mat2.identity()
-                got = sorted(solve_tail2(P, gen))
-                for kx, ky, _ in got:
-                    assert abs(kx) <= 12 and abs(ky) <= 12
-                assert got == brute_tail_completions(prefix, gen, 12)
+        # the longer prefixes have completions beyond the smaller tail bound
+        cases = [(p, 12) for length in range(3) for p in product(range(-3, 4), repeat=length)]
+        cases += [(p, 2) for length in (3, 4) for p in product(range(-2, 3), repeat=length)]
+        cut = 0
+        for prefix, limit in cases:
+            got = kernel_tail(prefix, gen, limit)
+            generic = sorted(solve_tail2(prefix_matrix(prefix, gen), gen))
+            assert got == [t for t in generic if abs(t[0]) <= limit and abs(t[1]) <= limit]
+            assert got == brute_tail_completions(prefix, gen, limit)
+            cut += len(generic) > len(got)
+        assert cut > 0
 
 
 class TestEnumerate:
@@ -172,6 +188,17 @@ class TestEnumerate:
             serial = enumerate_quiddities(spec)
             assert enumerate_quiddities(spec, workers=100_000) == serial
             assert started == pools
+
+    def test_serial_fan_out_holds_one_shard_at_a_time(self):
+        # 40,001 shards of size 3 with two solutions among them
+        tracemalloc.start()
+        try:
+            found = enumerate_quiddities(EnumSpec(Z, 3, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [q.coeffs for q in found] == [(-1, -1, -1), (1, 1, 1)]
+        assert peak < 1_000_000
 
     def test_import_loads_no_pool_machinery(self):
         # only a run that starts a pool pays for concurrent.futures and multiprocessing
@@ -365,6 +392,17 @@ class TestTwoSmallEntries:
     def test_no_modulus_over_formal_symbol(self):
         with pytest.raises(NoModulusError):
             check_two_small_entries(Quiddity.verified(ALPHA, (0, 0)))
+
+    @pytest.mark.parametrize(
+        "gen",
+        list(dict.fromkeys(MODULUS_GENERATORS + [GeneratorSpec.from_string(t) for t in MODULUS_EXTRAS])),
+        ids=lambda g: g.to_string(),
+    )
+    def test_integer_norm_agrees_with_the_generic_comparison(self, gen):
+        small = {c: cmp_abs_squared_with_4(gen.embed(c)) < 0 for c in range(-6, 7)}
+        for t in product(range(-6, 7), repeat=3):
+            want = sum(small[c] for c in t) >= 2
+            assert check_two_small_entries(Quiddity(gen, t)) is want, t
 
     def test_holds_on_small_enumerations(self):
         for gen in (Z, N, SQRT2, GAUSS, GeneratorSpec.from_string("sqrt:5")):
