@@ -84,9 +84,13 @@ class EvenSearchState:
 
     Progress is tracked at first-coefficient shard granularity, so merging
     finished shards is associative and order-independent and serialized
-    states are byte-stable.  found keeps every canonical class that is
-    strictly irreducible, together with its up-to-equivalence verdict; the
-    mode only selects which of those count as results.
+    states are byte-stable.  Shard c holds the classes whose least entry,
+    the first of the canonical form, is c.  found keeps every such class of
+    a done shard that is strictly irreducible, together with its
+    up-to-equivalence verdict; the mode only selects which of those count as
+    results.  A state written when a shard held every class containing c
+    records some classes of pending shards too; it resumes to the same
+    result, as a class found twice is recorded once.
     """
 
     size: int
@@ -206,15 +210,17 @@ def search_evenly_irreducible(
 ):
     """All canonical evenly irreducible integer tuples of one even size.
 
-    Returns (results, final_state).  Each class in the affordable shards
-    gets one decomposition scan (_even_verdicts), so strict mode tests the
-    canonical representative; strictly reducible classes are not recorded
-    and a resume scans them again.  When the node budget runs out first,
-    WorkLimitExceeded carries a state that resumes the sweep exactly where
-    it stopped, and its message names the node cost of one shard, the least
-    budget under which a resume makes progress.  results lists
-    (quiddity, equiv_reducible) pairs filtered by mode, sorted; the flag
-    keeps divergent records visible.
+    Returns (results, final_state).  Shards are swept in ascending order of
+    their coefficient c, and shard c yields the classes whose least entry is
+    c (the min-first walk of enumerate_quiddities).  Each class in the
+    affordable shards gets one decomposition scan (_even_verdicts), so
+    strict mode tests the canonical representative; strictly reducible
+    classes are not recorded, and a class already recorded is not scanned
+    again.  When the node budget runs out first, WorkLimitExceeded carries a
+    state that resumes the sweep exactly where it stopped, and its message
+    names the node cost of one shard, the least budget under which a resume
+    makes progress.  results lists (quiddity, equiv_reducible) pairs
+    filtered by mode, sorted; the flag keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")

@@ -11,9 +11,12 @@ tuple solves over Z.  The walker visits the first n-3 coefficients depth
 first while accumulating the ordered product as four plain integers, solves
 for the third-from-last entry (at most two candidates, and the whole level
 only where the product's upper-left entry is 0; see _run_shard), then
-completes the final two entries in closed form (_complete).  Everything it
-emits is a plain Quiddity that re-verifies through the generic matrix route,
-and the test suite holds the two routes against each other.
+completes the final two entries in closed form (_complete).  Canonical-only
+enumeration walks min-first: the shard of first coefficient c walks only
+coefficients ranked at or above c, so it meets exactly the dihedral classes
+whose least entry is c (see _run_shard).  Everything the walker emits is a
+plain Quiddity that re-verifies through the generic matrix route, and the
+test suite holds the two routes against each other.
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
@@ -173,14 +176,14 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     (>= 0 when nonneg), or None, for an integer product P with det 1 and
     p11 = +-1.  M(y)*M(x) = [[x*y - 1, -y], [x, -1]] must equal eps*P**-1,
     whose lower-right entry eps*p11 forces eps = -p11; then x = -eps*p21 and
-    y = eps*p12, checked by x*y - 1 = eps*p22, and divided back by the scales
-    (0 takes only 0).
+    y = eps*p12, divided back by the scales (0 takes only 0).  The upper-left
+    entry needs no test: det P = -eps*p22 - p12*p21 = 1 gives eps*p22 =
+    -p12*p21 - 1 = x*y - 1.  Both callers, the kernel's tail and
+    _scan_representative, pass products of matrices M(e), so det P = 1.
     """
     eps = -p11
     x = -eps * p21
     y = eps * p12
-    if x * y - 1 != eps * p22:
-        return None
     if sx == 0:
         return (0, 0, eps) if x == 0 and y == 0 else None
     if x % sx or y % sy:
@@ -205,9 +208,26 @@ def _third_entries(p11, p21, s, vals):
     return [num // q for num in (lo, hi) if num % q == 0 and num // q in vals]
 
 
-def _run_shard(gen, n, bound, first):
+def _min_first_values(gen: GeneratorSpec, bound: int, first: int):
+    """The coefficients whose rank (core.coeff_ranks) is at or above
+    first's, ascending: the values a min-first shard walks (see _run_shard).
+    The rules are coeff_ranks' own, written out so that every family but a
+    quadratic or formal one with first < 0 gets a range (constant-time
+    membership); the kernel tests hold the two against each other.
+    """
+    vals = _coeff_values(gen, bound)
+    kind, s, _ = gen.ring
+    if kind == "int":  # rank c for s >= 0, -c for s < 0
+        return range(vals.start, first + 1) if s < 0 else range(first, vals.stop)
+    if first == 0:  # quad, poly: 0 ranks -inf, a nonzero c ranks c
+        return vals
+    return tuple(c for c in range(first, vals.stop) if c)
+
+
+def _run_shard(gen, n, bound, first, min_first=False):
     """Enumerate all solutions whose first coefficient is `first` (every
-    solution when first is None, used for n = 2).
+    solution when first is None, used for n = 2); with min_first, only those
+    whose every coefficient ranks at or above first's.
 
     One integer walker serves every ring through _position_scales: the
     first n-3 coefficients are walked depth first on the flat integer
@@ -223,6 +243,20 @@ def _run_shard(gen, n, bound, first):
     quotient by p11*s inside _coeff_values.  If p11 = 0, det P = -p12*p21 =
     1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
     walked in full, as it is when s = 0 (the zero generator, e = 0).
+
+    Lemma (min-first).  The canonical form of a class starts at an entry of
+    least rank (canonical_coeffs), so it is a solution, inside the bound,
+    whose first coefficient c ranks at or below every other.  Walking shard c
+    only over _min_first_values (the walked levels, the third-from-last
+    entry and both completed entries) keeps exactly the solutions that start
+    at c and have no entry ranked below it: a tuple of every class whose
+    least entry is c, and none of any other class.  The ranks by family: int with s > 0 keeps c' >= c, with s < 0
+    keeps c' <= c, and the zero generator has 0 alone; for quad and poly, 0
+    ranks -inf, so shard 0 keeps every value and any other shard keeps the
+    nonzero c' >= c.  Nonneg ranges start at 0 and need no other rule.
+    Canonical-only enumeration walks this way; _collect still canonicalizes
+    and dedupes, as several rotations and reflections of a class can start
+    at its least entry.
     """
     scales = _position_scales(gen, n, bound)
     found = []
@@ -230,7 +264,10 @@ def _run_shard(gen, n, bound, first):
         return found
     emit = found.append
     nonneg = gen.nonneg
-    vals = _coeff_values(gen, bound)
+    if min_first and first is not None:
+        vals = _min_first_values(gen, bound, first)
+    else:
+        vals = _coeff_values(gen, bound)
     levels = [[(c, c * s) for c in vals] for s in scales[: n - 3]]
     s3 = scales[n - 3] if n > 2 else None
     sx, sy = scales[n - 2], scales[n - 1]
@@ -238,7 +275,7 @@ def _run_shard(gen, n, bound, first):
     def tail(prefix, p11, p12, p21, p22):
         if p11 == 1 or p11 == -1:
             hit = _complete(p11, p12, p21, p22, sx, sy, bound, nonneg)
-            if hit is not None:
+            if hit is not None and hit[0] in vals and hit[1] in vals:
                 emit((prefix + hit[:2], hit[2]))
 
     def rec(depth, prefix, p11, p12, p21, p22):
@@ -260,10 +297,10 @@ def _run_shard(gen, n, bound, first):
     return found
 
 
-def _map_shards(gen, n, bound, shards, workers):
+def _map_shards(gen, n, bound, shards, workers, min_first):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
     serial path holds one shard's result at a time."""
-    run = functools.partial(_run_shard, gen, n, bound)
+    run = functools.partial(_run_shard, gen, n, bound, min_first=min_first)
     # the executor starts all max_workers processes at the first submit
     workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
@@ -296,8 +333,11 @@ def enumerate_quiddities(
     """Every verified tuple in the bounded space, deterministically sorted.
 
     Sharded on the first coefficient (all values, or the distinct ones in
-    firsts); results are merged and re-sorted, so worker count never changes
-    the output.  The work limit prices the full prefix tree
+    firsts).  Shard c holds every tuple that starts with c; with
+    canonical_only it walks min-first (see _run_shard) and holds exactly the
+    classes whose least entry, the first of the canonical form, is c.
+    Results are merged and re-sorted, so worker count never changes the
+    output.  The work limit prices the full prefix tree
     (predicted_nodes), an upper bound on the nodes walked known up front,
     which keeps it a hard precondition rather than a mid-flight truncation.
     """
@@ -316,7 +356,8 @@ def enumerate_quiddities(
     cost, text = priced_nodes(count, vals.stop - vals.start, levels)
     if cost is None or cost > work_limit:
         raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
-    return _collect(spec, _map_shards(gen, n, bound, shards, workers))
+    found = _map_shards(gen, n, bound, shards, workers, spec.canonical_only)
+    return _collect(spec, found)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -201,6 +202,44 @@ class TestSerialization:
             code, out = run_cli(*argv, "--format", fmt)
             assert code == 0 and out
         assert calls["inside"] > 0 and calls["outside"] == 0
+
+
+# stdout sha256 of commands whose bytes every change to the search must keep
+_PINNED_DIGESTS = {
+    "classify --gen z --max-size 6 --bound 3":
+        "796ee5046d91cfc1af38b309760144ac8d373e0697e2c92a19e008318f33c240",
+    "classify --gen sqrt:2 --max-size 6 --bound 3":
+        "584aeb2421ca54b409b8715ff900e8e8dba1c1b29877cce35c12258da49cee33",
+    "classify --gen isqrt:2 --max-size 6 --bound 3":
+        "9ff1fa676b600b1d164619210def41ce09cc1e14fe68875e31bdb41088459ce1",
+    "classify --gen alpha --max-size 6 --bound 3":
+        "67573fb2d5eeae2d677b665161c28a0d0b6bfdb4479b83a893524ec8a1ae9789",
+    "even-search --size 8 --bound 2 --mode strict":
+        "a7c231da93cc2f62c9bf9ebdc4244c19cbb9fd82895d1bc8496fd6bb8372f890",
+    "even-search --size 8 --bound 2 --mode up-to-equivalence":
+        "df060ee8186eb8dea8e0ee3ecc72f59ed77f4f7e3685ba9141359e0d3e7aaa89",
+    "enumerate --gen z --size 7 --bound 3 --canonical-only --workers 1":
+        "91aa6d0f3b9930c5b6507c9c4234f1b890f9f1c7a4a1049ee5516c6d0694c96f",
+    "enumerate --gen z --size 7 --bound 3 --canonical-only --workers 2":
+        "91aa6d0f3b9930c5b6507c9c4234f1b890f9f1c7a4a1049ee5516c6d0694c96f",
+    "enumerate --gen z:-2 --size 6 --bound 3 --canonical-only":
+        "d9bf0c175ee39662b14ec48eac5f62ac506d197d3f102605a202a57591488321",
+    "enumerate --gen z+nonneg --size 6 --bound 3 --canonical-only":
+        "05a1da9547226f17b634d77cc3ae4595e30e7f74651fbdd74daf51bb320d2124",
+    "enumerate --gen isqrt:2+nonneg --size 6 --bound 3 --canonical-only":
+        "fc63b9a6f20af91e094e9d910dc4b36e4b859f08fc1927cd357f8b1f40bc4ad9",
+    "enumerate --gen alpha+nonneg --size 6 --bound 3 --canonical-only":
+        "e6f1bba6b5e701449700ae7f6616f85806a4b6db06d2849c65e84a4a60afdea3",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command", sorted(_PINNED_DIGESTS))
+    def test_stdout_bytes_are_pinned(self, command, monkeypatch):
+        monkeypatch.delenv(cli.WORK_LIMIT_ENV, raising=False)  # the config line echoes the limit
+        code, out = run_cli(*command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_DIGESTS[command]
 
 
 class TestClassify:

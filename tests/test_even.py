@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from quiddity import (
@@ -19,6 +21,7 @@ from quiddity import (
     search_evenly_irreducible,
 )
 from quiddity.audits import link_probe
+from quiddity.cli import main
 
 Z = GeneratorSpec.from_string("z")
 
@@ -154,6 +157,55 @@ class TestSearch:
         assert [q.coeffs for q, _ in resumed] == [q.coeffs for q, _ in full]
         assert state_resumed.to_json() == state_full.to_json()
 
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
+    def test_checkpoint_of_whole_class_shards_resumes_to_the_single_shot_run(
+        self, mode, tmp_path
+    ):
+        # a shard once held every class containing its coefficient, not only
+        # those starting there: a checkpoint from then has shard 0 done and
+        # every strictly irreducible class that contains 0 recorded
+        classes = enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))
+        found = tuple(sorted(
+            (q.coeffs, q.sign, is_evenly_reducible(q, MODE_EQUIV))
+            for q in classes
+            if 0 in q.coeffs and not is_evenly_reducible(q, MODE_STRICT)
+        ))
+        assert any(min(cc) < 0 for cc, _, _ in found)  # classes that start below 0
+        old = EvenSearchState(8, 2, mode, (0,), found)
+        path = tmp_path / "state.json"
+        path.write_text(old.to_json())
+        assert EvenSearchState.load(path) == old  # a valid checkpoint today
+        argv = ["even-search", "--size", "8", "--bound", "2", "--mode", mode]
+        single_out = io.StringIO()
+        assert main(argv, out=single_out) == 0
+        resumed_out = io.StringIO()
+        assert main([*argv, "--checkpoint", str(path)], out=resumed_out) == 0
+        assert resumed_out.getvalue() == single_out.getvalue()
+        _, single = search_evenly_irreducible(8, 2, mode)
+        assert path.read_text() == single.to_json()
+
+    def test_partial_states_record_the_classes_starting_in_done_shards(self):
+        strict_irreducible = {
+            q.coeffs
+            for q in enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))
+            if not is_evenly_reducible(q, MODE_STRICT)
+        }
+        shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
+        state, partials = None, []
+        while True:
+            try:
+                _, state = search_evenly_irreducible(8, 2, work_limit=shard, state=state)
+                break
+            except WorkLimitExceeded as exc:
+                state = exc.state
+                partials.append(state)
+        assert len(partials) == 4
+        for partial in partials:
+            assert all(cc[0] in partial.done for cc, _, _ in partial.found)
+            assert {cc for cc, _, _ in partial.found} == {
+                cc for cc in strict_irreducible if cc[0] in partial.done
+            }
+
     def test_state_serialization_is_byte_stable(self):
         _, state = search_evenly_irreducible(6, 1)
         text = state.to_json()
@@ -193,6 +245,13 @@ class TestSearch:
         for batch in ([-2, 1], [0], [2, -1]):
             union |= {q.coeffs for q in enumerate_quiddities(spec, firsts=batch)}
         assert union == {q.coeffs for q in enumerate_quiddities(spec)}
+
+    def test_canonical_shards_hold_the_classes_starting_there(self):
+        spec = EnumSpec(Z, 8, 2, canonical_only=True)
+        classes = [q.coeffs for q in enumerate_quiddities(spec)]
+        for c in range(-2, 3):
+            got = [q.coeffs for q in enumerate_quiddities(spec, firsts=[c])]
+            assert got == [cc for cc in classes if cc[0] == c]
 
     def test_first_coefficient_batch_preconditions(self):
         spec = EnumSpec(Z, 6, 2)

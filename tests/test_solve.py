@@ -31,6 +31,7 @@ from quiddity import (
 )
 from quiddity import solve
 from quiddity.audits import check_two_small_entries
+from quiddity.core import coeff_ranks
 from quiddity.solve import predicted_nodes, priced_nodes
 
 from helpers import (
@@ -101,6 +102,10 @@ class TestSolveTail:
             assert got == brute_tail_completions(prefix, gen, limit)
             cut += len(generic) > len(got)
         assert cut > 0
+
+
+# every ring kind, with the zero scale and a second negative one besides
+KERNEL_GENERATORS = GENERATORS + [GeneratorSpec.from_string(s) for s in ("z:0", "z:-3")]
 
 
 class TestEnumerate:
@@ -235,9 +240,21 @@ class TestEnumerate:
         found = enumerate_quiddities(EnumSpec(GeneratorSpec.from_string("z:0"), 4, 3))
         assert [q.coeffs for q in found] == [(0, 0, 0, 0)]
 
-
-# every ring kind, with the zero scale and a second negative one besides
-KERNEL_GENERATORS = GENERATORS + [GeneratorSpec.from_string(s) for s in ("z:0", "z:-3")]
+    @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
+    def test_canonical_only_equals_the_brute_classes(self, gen):
+        # the zero generator maps every coefficient to 0, so it takes 0 alone
+        top = 0 if gen.ring[:2] == ("int", 0) else 2
+        for n in range(2, 7):
+            grid = brute_enumerate(gen, n, top)
+            for bound in range(3):
+                brute = {
+                    canonical_coeffs(c, gen): eps
+                    for c, eps in grid
+                    if max(map(abs, c)) <= bound
+                }
+                spec = EnumSpec(gen, n, bound, canonical_only=True)
+                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(spec)]
+                assert got == sorted(brute.items(), key=lambda kv: coeff_ranks(kv[0], gen))
 
 
 class TestKernel:
@@ -248,6 +265,19 @@ class TestKernel:
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
                     got = solve._run_shard(gen, n, bound, first)
                     assert set(got) == set(full_walk_shard(gen, n, bound, first))
+                    assert len(got) == len(set(got))
+
+    @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
+    def test_min_first_shards_equal_the_full_walk_above_their_entry(self, gen):
+        for n in range(2, 8 if gen.ring[0] == "poly" else 9):
+            for bound in range(4):
+                for first in [None] if n == 2 else solve._coeff_values(gen, bound):
+                    want = full_walk_shard(gen, n, bound, first)
+                    if first is not None:
+                        low = coeff_ranks((first,), gen)[0]
+                        want = [(c, eps) for c, eps in want if min(coeff_ranks(c, gen)) >= low]
+                    got = solve._run_shard(gen, n, bound, first, min_first=True)
+                    assert set(got) == set(want)
                     assert len(got) == len(set(got))
 
     @pytest.mark.parametrize(
