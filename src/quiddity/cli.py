@@ -363,7 +363,12 @@ def _add_common(sub, gen=True, fmt=True, workers=True, work_limit=True):
         sub.add_argument("--work-limit", type=_work_limit, default=_default_work_limit())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is named with its help;
+    when command names one, only that one gets its arguments (about 50
+    add_argument calls are skipped), and parsing argv that starts with
+    command reads exactly as on the full parser.  Any other command (-h, no
+    input, a typo) gets the full parser."""
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Exact search and classification for cyclic tuples whose "
@@ -371,70 +376,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify", help="check one tuple and report its sign")
-    _add_common(p, workers=False, work_limit=False)
-    p.add_argument("--tuple", required=True, help='JSON array of coefficients or element strings')
-    p.set_defaults(handler=_cmd_verify)
+    def sub(name, help, handler):
+        wanted = command in (None, name)  # the others stay names in the usage line
+        p = subs.add_parser(name, help=help, add_help=wanted)
+        p.set_defaults(handler=handler)
+        return p if wanted else None
 
-    p = subs.add_parser("enumerate", help="all solutions of one size within a bound")
-    _add_common(p)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--canonical-only", action="store_true")
-    p.set_defaults(handler=_cmd_enumerate)
+    if p := sub("verify", "check one tuple and report its sign", _cmd_verify):
+        _add_common(p, workers=False, work_limit=False)
+        p.add_argument("--tuple", required=True, help='JSON array of coefficients or element strings')
 
-    p = subs.add_parser("classify", help="canonical irreducible solutions up to a size")
-    _add_common(p)
-    p.add_argument("--min-size", type=int, default=3)
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_classify)
+    if p := sub("enumerate", "all solutions of one size within a bound", _cmd_enumerate):
+        _add_common(p)
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--canonical-only", action="store_true")
 
-    p = subs.add_parser("decompose", help="exact splice decomposition of one tuple")
-    _add_common(p, workers=False, work_limit=False)
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--parity", choices=("any", "even"), default="any")
-    p.set_defaults(handler=_cmd_decompose)
+    if p := sub("classify", "canonical irreducible solutions up to a size", _cmd_classify):
+        _add_common(p)
+        p.add_argument("--min-size", type=int, default=3)
+        p.add_argument("--max-size", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
 
-    p = subs.add_parser("phi", help="alternating-sign transport between i*sqrt(k) and sqrt(k)")
-    _add_common(p, workers=False, work_limit=False)
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--inverse", action="store_true", help="map from the real to the imaginary side")
-    p.set_defaults(handler=_cmd_phi)
+    if p := sub("decompose", "exact splice decomposition of one tuple", _cmd_decompose):
+        _add_common(p, workers=False, work_limit=False)
+        p.add_argument("--tuple", required=True)
+        p.add_argument("--parity", choices=("any", "even"), default="any")
 
-    p = subs.add_parser("rescale", help="even-position rescaling between sqrt(k) and z")
-    _add_common(p, workers=False, work_limit=False)
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.set_defaults(handler=_cmd_rescale)
+    if p := sub("phi", "alternating-sign transport between i*sqrt(k) and sqrt(k)", _cmd_phi):
+        _add_common(p, workers=False, work_limit=False)
+        p.add_argument("--tuple", required=True)
+        p.add_argument("--inverse", action="store_true", help="map from the real to the imaginary side")
 
-    p = subs.add_parser("triangulate", help="labeling witness for an integer tuple")
-    _add_common(p, workers=False, work_limit=False)
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--label-bound", type=int, default=4)
-    p.set_defaults(handler=_cmd_triangulate)
+    if p := sub("rescale", "even-position rescaling between sqrt(k) and z", _cmd_rescale):
+        _add_common(p, workers=False, work_limit=False)
+        p.add_argument("--tuple", required=True)
+        p.add_argument("--inverse", action="store_true")
 
-    p = subs.add_parser("even-search", help="evenly irreducible integer tuples of one even size")
-    _add_common(p, gen=False)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--mode", choices=MODES, default=MODE_EQUIV)
-    p.add_argument("--checkpoint", help="state file: resumed from when it exists, then written")
-    p.set_defaults(handler=_cmd_even_search)
+    if p := sub("triangulate", "labeling witness for an integer tuple", _cmd_triangulate):
+        _add_common(p, workers=False, work_limit=False)
+        p.add_argument("--tuple", required=True)
+        p.add_argument("--label-bound", type=int, default=4)
 
-    p = subs.add_parser("selftest", help="falsification probes and audits")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--workers", type=_worker_count, default=1)
-    p.set_defaults(handler=_cmd_selftest)
+    if p := sub("even-search", "evenly irreducible integer tuples of one even size", _cmd_even_search):
+        _add_common(p, gen=False)
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--mode", choices=MODES, default=MODE_EQUIV)
+        p.add_argument("--checkpoint", help="state file: resumed from when it exists, then written")
 
-    return parser
+    if p := sub("selftest", "falsification probes and audits", _cmd_selftest):
+        p.add_argument("--full", action="store_true")
+        p.add_argument("--workers", type=_worker_count, default=1)
+
+    return parser if command is None or command in subs.choices else build_parser()
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,15 +8,19 @@ alternating scales 1, D, 1, D, ... for a quadratic generator with w**2 = D,
 and a Kronecker substitution X := M for the formal symbol), so that a
 coefficient tuple solves over the generator exactly when the scaled integer
 tuple solves over Z.  The walker visits the first n-3 coefficients depth
-first while accumulating the ordered product as four plain integers, solves
-for the third-from-last entry (at most two candidates, and the whole level
-only where the product's upper-left entry is 0; see _run_shard), then
-completes the final two entries in closed form (_complete).  Canonical-only
-enumeration walks min-first: the shard of first coefficient c walks only
-coefficients ranked at or above c, so it meets exactly the dihedral classes
-whose least entry is c (see _run_shard).  Everything the walker emits is a
-plain Quiddity that re-verifies through the generic matrix route, and the
-test suite holds the two routes against each other.
+first while accumulating the ordered product as four plain integers; one
+loop body walks the last of them, solves for the third-from-last entry (at
+most two candidates, and the whole level only where the product's
+upper-left entry is 0) and completes the final two entries in closed form
+(see _run_shard).  Canonical-only enumeration walks min-first: the shard of
+first coefficient c walks only coefficients ranked at or above c, and keeps
+a leaf only when it is its own canonical form, so each dihedral class comes
+out once, from the shard of its least entry, with no dedupe pass (see
+_run_shard).  Prenecklace pruning (Fredricksen-Kessler-Maiorana, Sawada
+2001) was measured and left out: after min-first, 753 of the 767 leaves of
+z, n = 7, B = 5 pass it.  Everything the walker emits is a plain Quiddity
+that re-verifies through the generic matrix route, and the test suite holds
+the two routes against each other.
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
@@ -120,7 +124,7 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
     size n has no solutions at all.
 
     Integer generator w = s: the entries are the integers s*c_j, so every
-    position carries s (s = 0 is the zero generator, handled by _complete).
+    position carries s (s = 0 is the zero generator; see _run_shard).
 
     Lemma (quadratic, w**2 = D with D = p*scale**2 from the ring).  A
     continuant of L entries c_j*w is a signed sum of products of L - 2*i
@@ -178,8 +182,9 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     whose lower-right entry eps*p11 forces eps = -p11; then x = -eps*p21 and
     y = eps*p12, divided back by the scales (0 takes only 0).  The upper-left
     entry needs no test: det P = -eps*p22 - p12*p21 = 1 gives eps*p22 =
-    -p12*p21 - 1 = x*y - 1.  Both callers, the kernel's tail and
-    _scan_representative, pass products of matrices M(e), so det P = 1.
+    -p12*p21 - 1 = x*y - 1.  _scan_representative passes products of
+    matrices M(e), so det P = 1; the kernel's loop body (_run_shard) inlines
+    the same completion.
     """
     eps = -p11
     x = -eps * p21
@@ -192,20 +197,6 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     if abs(kx) > limit or abs(ky) > limit or (nonneg and (kx < 0 or ky < 0)):
         return None
     return kx, ky, eps
-
-
-def _third_entries(p11, p21, s, vals):
-    """The c in vals, ascending, for which the entry e = c*s turns a prefix
-    product with first column (p11, p21) and det 1 into one with
-    e*p11 - p21 = +-1: the only entries after which _complete can fire (see
-    _run_shard)."""
-    q = p11 * s
-    if q == 0:  # p11 = 0 forces p21 = +-1 by det 1; s = 0 makes e = 0
-        return vals if p21 in (1, -1) else ()
-    lo, hi = p21 - 1, p21 + 1
-    if q < 0:
-        q, lo, hi = -q, -hi, -lo
-    return [num // q for num in (lo, hi) if num % q == 0 and num // q in vals]
 
 
 def _min_first_values(gen: GeneratorSpec, bound: int, first: int):
@@ -221,28 +212,40 @@ def _min_first_values(gen: GeneratorSpec, bound: int, first: int):
         return range(vals.start, first + 1) if s < 0 else range(first, vals.stop)
     if first == 0:  # quad, poly: 0 ranks -inf, a nonzero c ranks c
         return vals
-    return tuple(c for c in range(first, vals.stop) if c)
+    return range(first, vals.stop) if first > 0 else tuple(c for c in range(first, vals.stop) if c)
 
 
-def _run_shard(gen, n, bound, first, min_first=False):
+def _run_shard(gen, n, bound, first, canonical_only=False):
     """Enumerate all solutions whose first coefficient is `first` (every
-    solution when first is None, used for n = 2); with min_first, only those
-    whose every coefficient ranks at or above first's.
+    solution when first is None, used for n = 2); with canonical_only, only
+    the canonical forms among those whose every coefficient ranks at or
+    above first's.
 
-    One integer walker serves every ring through _position_scales: the
-    first n-3 coefficients are walked depth first on the flat integer
-    product of the scaled entries, coefficient n-2 is solved for by
-    _third_entries, and the last two are completed in closed form by
-    _complete.
+    One integer walker serves every ring through _position_scales: from the
+    fixed first coefficient, positions 1 .. n-5 are walked depth first on
+    the flat integer product of the scaled entries, and one loop body walks
+    position n-4, solves for position n-3 and completes positions n-2 and
+    n-1 with _complete's closed form, inlined: for the product R of all but
+    the last two entries, r11 = +-1, the sign is -r11 and the last two
+    scaled entries are r11*r21 and -r11*r12.
 
     Lemma (closed-form third-from-last entry).  Let P = (p11, p12, p21,
     p22) be the product of the first n-3 scaled entries, det P = 1.
-    Appending e = c*s (s the scale of position n-2) gives p11' = e*p11 -
-    p21, and _complete fires only when p11' = +-1.  If p11 != 0, then e is
-    (p21 - 1)/p11 or (p21 + 1)/p11: at most two c remain, each an exact
-    quotient by p11*s inside _coeff_values.  If p11 = 0, det P = -p12*p21 =
-    1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
-    walked in full, as it is when s = 0 (the zero generator, e = 0).
+    Appending e = c*s (s the scale of position n-3) gives p11' = e*p11 -
+    p21, and the completion fires only when p11' = +-1.  If p11 != 0, then e
+    is (p21 - 1)/p11 or (p21 + 1)/p11: at most two c remain, each an exact
+    quotient by p11*s inside the walked values.  If p11 = 0, det P = -p12*p21
+    = 1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
+    walked in full.  Either way the new p11 is +-1 by construction.
+
+    Lemma (small and zero cases).  At n = 2 the product of no entries is Id,
+    and the completion gives (0, 0) with sign -1.  At n = 3 it needs the
+    single entry e = first*s to be +-1, and then gives back e at both ends,
+    so the solution is (first, first, first) with sign -e (an integer
+    generator; quadratic ones have no odd size and M > 1 bars it over <X>).
+    The zero generator maps every coefficient to 0, and M(0)**2 = -Id, so
+    its only solutions are the zero tuples of even size, with sign
+    (-1)**(n/2).
 
     Lemma (min-first).  The canonical form of a class starts at an entry of
     least rank (canonical_coeffs), so it is a solution, inside the bound,
@@ -250,57 +253,77 @@ def _run_shard(gen, n, bound, first, min_first=False):
     only over _min_first_values (the walked levels, the third-from-last
     entry and both completed entries) keeps exactly the solutions that start
     at c and have no entry ranked below it: a tuple of every class whose
-    least entry is c, and none of any other class.  The ranks by family: int with s > 0 keeps c' >= c, with s < 0
-    keeps c' <= c, and the zero generator has 0 alone; for quad and poly, 0
-    ranks -inf, so shard 0 keeps every value and any other shard keeps the
-    nonzero c' >= c.  Nonneg ranges start at 0 and need no other rule.
-    Canonical-only enumeration walks this way; _collect still canonicalizes
-    and dedupes, as several rotations and reflections of a class can start
-    at its least entry.
+    least entry is c, and none of any other class.  The ranks by family: int
+    with s > 0 keeps c' >= c, with s < 0 keeps c' <= c, and the zero
+    generator has 0 alone; for quad and poly, 0 ranks -inf, so shard 0 keeps
+    every value and any other shard keeps the nonzero c' >= c.  Nonneg
+    ranges start at 0 and need no other rule.
+
+    Lemma (canonical leaf).  The canonical form is unique per class, and it
+    starts at a least entry, so among the tuples the min-first walk meets
+    the class's canonical form is met exactly once, in the shard of its
+    least entry, and a leaf t is kept iff canonical_coeffs(t) == t: each
+    class comes out once, with no dedupe pass.  A constant-time reject runs
+    first: if rank(t[1]) > rank(t[-1]), the reflection read back from
+    position 0, (t[0], t[-1], ...), is smaller than t, so t is not
+    canonical.
     """
     scales = _position_scales(gen, n, bound)
-    found = []
     if scales is None:
-        return found
+        return []
+    if not scales[0]:  # the zero generator
+        return [] if n % 2 else [((0,) * n, (-1) ** (n // 2))]
+    if n == 2:
+        return [((0, 0), -1)]
+    if n == 3:
+        e = first * scales[0]
+        return [((first,) * 3, -e)] if e in (1, -1) else []
+    vals = _min_first_values(gen, bound, first) if canonical_only else _coeff_values(gen, bound)
+    if canonical_only:
+        rank = dict(zip(vals, coeff_ranks(tuple(vals), gen)))
+    levels = [[(first, first * scales[0])]]
+    levels += [[(c, c * s) for c in vals] for s in scales[1 : n - 3]]
+    s3, sx, sy = scales[n - 3], scales[n - 2], scales[n - 1]
+    found = []
     emit = found.append
-    nonneg = gen.nonneg
-    if min_first and first is not None:
-        vals = _min_first_values(gen, bound, first)
-    else:
-        vals = _coeff_values(gen, bound)
-    levels = [[(c, c * s) for c in vals] for s in scales[: n - 3]]
-    s3 = scales[n - 3] if n > 2 else None
-    sx, sy = scales[n - 2], scales[n - 1]
-
-    def tail(prefix, p11, p12, p21, p22):
-        if p11 == 1 or p11 == -1:
-            hit = _complete(p11, p12, p21, p22, sx, sy, bound, nonneg)
-            if hit is not None and hit[0] in vals and hit[1] in vals:
-                emit((prefix + hit[:2], hit[2]))
 
     def rec(depth, prefix, p11, p12, p21, p22):
-        if depth == n - 2:  # n = 2, or n = 3 with its first entry fixed
-            tail(prefix, p11, p12, p21, p22)
-        elif depth == n - 3:
-            for c in _third_entries(p11, p21, s3, vals):
-                e = c * s3
-                tail(prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
-        else:
+        if depth < n - 4:
             for c, e in levels[depth]:
                 rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
+            return
+        for c, e in levels[depth]:  # position n-4, then n-3 solved, then completed
+            q11 = e * p11 - p21
+            q12 = e * p12 - p22
+            q = q11 * s3
+            if q:  # c3*q = p11 - 1 or p11 + 1 (a tuple: no comprehension frame per node)
+                lo, hi = p11 - 1, p11 + 1
+                thirds = (() if lo % q else (lo // q,)) + (() if hi % q else (hi // q,))
+            else:
+                thirds = vals
+            for c3 in thirds:
+                e3 = c3 * s3
+                r11 = e3 * q11 - p11  # +-1; the sign is -r11
+                x = r11 * q11
+                y = r11 * (p12 - e3 * q12)
+                if x % sx or y % sy:
+                    continue
+                kx, ky = x // sx, y // sy
+                if c3 in vals and kx in vals and ky in vals:
+                    t = prefix + (c, c3, kx, ky)
+                    if not canonical_only or (
+                        rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t
+                    ):
+                        emit((t, -r11))
 
-    if first is None:
-        rec(0, (), 1, 0, 0, 1)
-    else:
-        e = first * scales[0]
-        rec(1, (first,), e, -1, 1, 0)
+    rec(0, (), 1, 0, 0, 1)
     return found
 
 
-def _map_shards(gen, n, bound, shards, workers, min_first):
+def _map_shards(gen, n, bound, shards, workers, canonical_only):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
     serial path holds one shard's result at a time."""
-    run = functools.partial(_run_shard, gen, n, bound, min_first=min_first)
+    run = functools.partial(_run_shard, gen, n, bound, canonical_only=canonical_only)
     # the executor starts all max_workers processes at the first submit
     workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
@@ -313,15 +336,10 @@ def _map_shards(gen, n, bound, shards, workers, min_first):
 
 def _collect(spec: EnumSpec, found):
     gen = spec.gen
-    if spec.canonical_only:
-        seen = {}
-        for coeffs, eps in found:
-            cc = canonical_coeffs(coeffs, gen)
-            if cc not in seen:
-                seen[cc] = eps
+    if spec.canonical_only:  # one canonical form per class (see _run_shard)
         # order_key of a canonical tuple of size n is (n, ranks, ranks)
-        ordered = sorted(seen, key=lambda cc: coeff_ranks(cc, gen))
-        return [Quiddity(gen, cc, seen[cc]) for cc in ordered]
+        found.sort(key=lambda pair: coeff_ranks(pair[0], gen))
+        return [Quiddity(gen, cc, eps) for cc, eps in found]
     qs = [Quiddity(gen, coeffs, eps) for coeffs, eps in found]
     qs.sort(key=Quiddity.order_key)
     return qs
@@ -335,7 +353,7 @@ def enumerate_quiddities(
     Sharded on the first coefficient (all values, or the distinct ones in
     firsts).  Shard c holds every tuple that starts with c; with
     canonical_only it walks min-first (see _run_shard) and holds exactly the
-    classes whose least entry, the first of the canonical form, is c.
+    canonical forms of the classes whose least entry is c, each once.
     Results are merged and re-sorted, so worker count never changes the
     output.  The work limit prices the full prefix tree
     (predicted_nodes), an upper bound on the nodes walked known up front,

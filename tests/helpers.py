@@ -208,6 +208,20 @@ def full_walk_shard(gen, n, bound, first):
     return found
 
 
+def third_entries(p11, p21, s, vals):
+    """The c in vals, ascending, for which the entry e = c*s turns a prefix
+    product with first column (p11, p21) and det 1 into one with
+    e*p11 - p21 = +-1: the third-from-last entries the kernel's loop body
+    solves for (the closed-form lemma of solve._run_shard)."""
+    q = p11 * s
+    if q == 0:  # p11 = 0 forces p21 = +-1 by det 1; s = 0 makes e = 0
+        return vals if p21 in (1, -1) else ()
+    lo, hi = p21 - 1, p21 + 1
+    if q < 0:
+        q, lo, hi = -q, -hi, -lo
+    return [num // q for num in (lo, hi) if num % q == 0 and num // q in vals]
+
+
 def generic_decomposition(q, parity="any"):
     """find_decomposition on generic Mat2/RingElem arithmetic, with the left
     summand verified too: the slow oracle for the integer scan, in the same

@@ -230,6 +230,14 @@ _PINNED_DIGESTS = {
         "fc63b9a6f20af91e094e9d910dc4b36e4b859f08fc1927cd357f8b1f40bc4ad9",
     "enumerate --gen alpha+nonneg --size 6 --bound 3 --canonical-only":
         "e6f1bba6b5e701449700ae7f6616f85806a4b6db06d2849c65e84a4a60afdea3",
+    # research scale: six walked levels, where the last level and the leaf
+    # test do most of their work
+    "even-search --size 10 --bound 3 --mode strict":
+        "c8f62d5b35252be05ba820c6f7b800cc027bd3b325362b439da42dd6bee90193",
+    "even-search --size 10 --bound 3 --mode up-to-equivalence":
+        "2a3416ecab16ad5dfb79d33785a78a9f3795853a506a11513870e2c8c35243f7",
+    "enumerate --gen z --size 10 --bound 3 --canonical-only":
+        "ebb83bab12408384354a237cac4a7212b4e6acc757432b7380137a204e8ecbbf",
 }
 
 
@@ -539,6 +547,42 @@ class TestPricing:
         (k,) = re.findall(r"more than 10\^(\d+) nodes \(limit 1000\)", capsys.readouterr().err)
         levels = 20000 if argv[0] == "enumerate" else 19999
         assert int(k) > 4300 and predicted_nodes(3, levels) > 10 ** int(k)
+
+
+_COMMANDS = (
+    "verify", "enumerate", "classify", "decompose", "phi", "rescale", "triangulate",
+    "even-search", "selftest",
+)
+
+
+class TestLeanParser:
+    """main gives arguments only to the subcommand its first word names; its
+    help and usage errors must read exactly as the full parser's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], [], ["no-such-command"], ["--gen", "z"]]
+        + [[name, flag] for name in _COMMANDS for flag in ("--help", "--no-such-flag")],
+        ids=" ".join,
+    )
+    def test_help_and_usage_errors_match_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        code = main(argv, out=io.StringIO())
+        lean = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (code, lean.out, lean.err) == (exc.value.code, full.out, full.err)
+        if "--help" in argv:
+            prog = "quiddity" if argv[0] == "--help" else f"quiddity {argv[0]}"
+            assert code == 0 and lean.out.startswith(f"usage: {prog} ")
+        else:
+            assert code == 2 and lean.err
+
+    def test_every_subcommand_is_covered(self):
+        parser = cli.build_parser()
+        (action,) = [a for a in parser._actions if a.dest == "command"]
+        assert tuple(action.choices) == _COMMANDS
 
 
 class TestHelpAndErrors:

@@ -10,7 +10,9 @@ import sys
 import tracemalloc
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from quiddity import (
     EnumSpec,
@@ -48,6 +50,7 @@ from helpers import (
     kernel_tail,
     prefix_matrix,
     solve_tail2,
+    third_entries,
 )
 
 Z = GeneratorSpec.from_string("z")
@@ -272,13 +275,35 @@ class TestKernel:
         for n in range(2, 8 if gen.ring[0] == "poly" else 9):
             for bound in range(4):
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
+                    # the classes among the full walk's tuples above first,
+                    # each once, as its own canonical form
                     want = full_walk_shard(gen, n, bound, first)
                     if first is not None:
                         low = coeff_ranks((first,), gen)[0]
                         want = [(c, eps) for c, eps in want if min(coeff_ranks(c, gen)) >= low]
-                    got = solve._run_shard(gen, n, bound, first, min_first=True)
-                    assert set(got) == set(want)
+                    classes = {canonical_coeffs(c, gen): eps for c, eps in want}
+                    got = solve._run_shard(gen, n, bound, first, canonical_only=True)
+                    assert set(got) == set(classes.items())
                     assert len(got) == len(set(got))
+                    assert all(canonical_coeffs(c, gen) == c for c, _ in got)
+
+    @given(
+        gen=st.sampled_from([Z, GeneratorSpec.from_string("z:-3"), SQRT2, ALPHA]),
+        coeffs=st.lists(st.integers(-2, 2), min_size=2, max_size=7).map(tuple),
+    )
+    @example(gen=Z, coeffs=(0, 1, 2, 0, 1, 1))  # a tie, and not canonical
+    def test_leaf_reject_lemma(self, gen, coeffs):
+        # the reflection read back from position 0 starts (t[0], t[-1], ...)
+        ranks = coeff_ranks(coeffs, gen)
+        if ranks[1] > ranks[-1]:
+            assert canonical_coeffs(coeffs, gen) != coeffs
+
+    def test_a_tie_at_the_leaf_reject_can_be_canonical(self):
+        # so the kernel rejects only a strict rank(t[1]) > rank(t[-1])
+        for gen, t in [(Z, (0, 1, 2, 1)), (GeneratorSpec.from_string("z:-3"), (0, -1, -2, -1)),
+                       (SQRT2, (0, 1, 2, 1)), (ALPHA, (0, 1, 2, 1))]:
+            ranks = coeff_ranks(t, gen)
+            assert ranks[1] == ranks[-1] and canonical_coeffs(t, gen) == t
 
     @pytest.mark.parametrize(
         "gen",
@@ -300,7 +325,7 @@ class TestKernel:
                 for p11, p21 in product(range(-7, 8), repeat=2):
                     if math.gcd(p11, p21) != 1:
                         continue  # no det-1 product has this first column
-                    got = solve._third_entries(p11, p21, s, vals)
+                    got = third_entries(p11, p21, s, vals)
                     assert list(got) == [c for c in vals if c * s * p11 - p21 in (1, -1)]
 
 
