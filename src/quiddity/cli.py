@@ -327,7 +327,7 @@ def _cmd_even_search(args, out) -> int:
         if args.checkpoint and exc.state is not None:
             _checkpoint_io(exc.state.save, args.checkpoint)
             print(f"work limit hit; checkpoint written to {args.checkpoint}", file=sys.stderr)
-        else:
+        elif not args.checkpoint:
             print("work limit hit; no checkpoint path given", file=sys.stderr)
         return EXIT_WORK_LIMIT
     if args.checkpoint:

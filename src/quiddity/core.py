@@ -262,10 +262,6 @@ class Quiddity:
     def canonical(self) -> "Quiddity":
         return Quiddity(self.gen, self.canonical_coeffs(), self.sign)
 
-    def order_key(self):
-        cc = self.canonical_coeffs()
-        return (len(cc), coeff_ranks(cc, self.gen), coeff_ranks(self.coeffs, self.gen))
-
     def to_json_dict(self, irreducible: bool | None = None, is_canonical: bool = False) -> dict:
         """The JSON payload; is_canonical=True skips recomputing the
         canonical form of a tuple known to be in it."""

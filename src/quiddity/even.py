@@ -237,7 +237,7 @@ def search_evenly_irreducible(
     done = set(state.done) if state else set()
     records = {cc: (sign, red) for cc, sign, red in state.found} if state else {}
     per_shard, per_shard_text = priced_nodes(1, shards, size - 1)
-    affordable = 0 if per_shard is None else max(0, work_limit // per_shard)
+    affordable = 0 if per_shard is None else max(0, min(shards, work_limit // per_shard))
     pending = (c for c in range(-bound, bound + 1) if c not in done)
     batch = list(islice(pending, affordable))
     overflow = shards - len(done) - len(batch)
@@ -260,6 +260,6 @@ def search_evenly_irreducible(
     results = sorted(
         ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()
          if mode == MODE_STRICT or not red),
-        key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # order_key of canonical tuples
+        key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # the element order of classes
     )
     return results, final

@@ -12,15 +12,17 @@ first while accumulating the ordered product as four plain integers; one
 loop body walks the last of them, solves for the third-from-last entry (at
 most two candidates, and the whole level only where the product's
 upper-left entry is 0) and completes the final two entries in closed form
-(see _run_shard).  Canonical-only enumeration walks min-first: the shard of
-first coefficient c walks only coefficients ranked at or above c, and keeps
-a leaf only when it is its own canonical form, so each dihedral class comes
-out once, from the shard of its least entry, with no dedupe pass (see
-_run_shard).  Prenecklace pruning (Fredricksen-Kessler-Maiorana, Sawada
-2001) was measured and left out: after min-first, 753 of the 767 leaves of
-z, n = 7, B = 5 pass it.  Everything the walker emits is a plain Quiddity
-that re-verifies through the generic matrix route, and the test suite holds
-the two routes against each other.
+(see _run_shard).  Every enumeration generates dihedral classes: the walk
+is min-first (the shard of first coefficient c walks only coefficients
+ranked at or above c) and keeps a leaf only when it is its own canonical
+form, so each class comes out once, from the shard of its least entry, with
+no dedupe pass (see _run_shard).  Plain enumeration expands each class to
+its dihedral orbit (see _collect).  Prenecklace pruning
+(Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left out:
+after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
+Everything the walker emits is a plain Quiddity that re-verifies through the
+generic matrix route, and the test suite holds the two routes against each
+other.
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
@@ -39,10 +41,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import Quiddity, canonical_coeffs, coeff_ranks
+from .core import Quiddity, canonical_coeffs, coeff_ranks, dihedral_orbit
 from .rings import GeneratorSpec
 
 DEFAULT_WORK_LIMIT = 10 ** 8
+# the walker recurses once per level: a larger size with two or more values is
+# priced at 2**(n-3) > 10**152 nodes or more, and refused whatever the limit
+_MAX_WALK_SIZE = 512
 
 PARITY_ANY = "any"
 PARITY_EVEN = "even"
@@ -199,27 +204,9 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     return kx, ky, eps
 
 
-def _min_first_values(gen: GeneratorSpec, bound: int, first: int):
-    """The coefficients whose rank (core.coeff_ranks) is at or above
-    first's, ascending: the values a min-first shard walks (see _run_shard).
-    The rules are coeff_ranks' own, written out so that every family but a
-    quadratic or formal one with first < 0 gets a range (constant-time
-    membership); the kernel tests hold the two against each other.
-    """
-    vals = _coeff_values(gen, bound)
-    kind, s, _ = gen.ring
-    if kind == "int":  # rank c for s >= 0, -c for s < 0
-        return range(vals.start, first + 1) if s < 0 else range(first, vals.stop)
-    if first == 0:  # quad, poly: 0 ranks -inf, a nonzero c ranks c
-        return vals
-    return range(first, vals.stop) if first > 0 else tuple(c for c in range(first, vals.stop) if c)
-
-
-def _run_shard(gen, n, bound, first, canonical_only=False):
-    """Enumerate all solutions whose first coefficient is `first` (every
-    solution when first is None, used for n = 2); with canonical_only, only
-    the canonical forms among those whose every coefficient ranks at or
-    above first's.
+def _run_shard(gen, n, bound, first):
+    """The canonical forms of the classes whose least entry is `first`, each
+    once, with their signs (every class when first is None, used for n = 2).
 
     One integer walker serves every ring through _position_scales: from the
     fixed first coefficient, positions 1 .. n-5 are walked depth first on
@@ -238,26 +225,24 @@ def _run_shard(gen, n, bound, first, canonical_only=False):
     = 1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
     walked in full.  Either way the new p11 is +-1 by construction.
 
-    Lemma (small and zero cases).  At n = 2 the product of no entries is Id,
-    and the completion gives (0, 0) with sign -1.  At n = 3 it needs the
-    single entry e = first*s to be +-1, and then gives back e at both ends,
-    so the solution is (first, first, first) with sign -e (an integer
+    Lemma (small and one-value cases).  At n = 2 the product of no entries
+    is Id, and the completion gives (0, 0) with sign -1.  At n = 3 it needs
+    the single entry e = first*s to be +-1, and then gives back e at both
+    ends, so the solution is (first, first, first) with sign -e (an integer
     generator; quadratic ones have no odd size and M > 1 bars it over <X>).
-    The zero generator maps every coefficient to 0, and M(0)**2 = -Id, so
-    its only solutions are the zero tuples of even size, with sign
-    (-1)**(n/2).
+    When a position takes one coefficient value (the zero generator, or
+    bound 0), every entry is 0, and M(0)**2 = -Id, so the only solutions
+    are the zero tuples of even size, with sign (-1)**(n/2); no walk is
+    made, whatever the size.
 
     Lemma (min-first).  The canonical form of a class starts at an entry of
     least rank (canonical_coeffs), so it is a solution, inside the bound,
-    whose first coefficient c ranks at or below every other.  Walking shard c
-    only over _min_first_values (the walked levels, the third-from-last
-    entry and both completed entries) keeps exactly the solutions that start
-    at c and have no entry ranked below it: a tuple of every class whose
-    least entry is c, and none of any other class.  The ranks by family: int
-    with s > 0 keeps c' >= c, with s < 0 keeps c' <= c, and the zero
-    generator has 0 alone; for quad and poly, 0 ranks -inf, so shard 0 keeps
-    every value and any other shard keeps the nonzero c' >= c.  Nonneg
-    ranges start at 0 and need no other rule.
+    whose first coefficient c ranks at or below every other.  Walking shard
+    c only over the coefficients whose rank (coeff_ranks) is at or above
+    c's, on the walked levels, the third-from-last entry and both completed
+    entries, keeps exactly the solutions that start at c and have no entry
+    ranked below it: a tuple of every class whose least entry is c, and
+    none of any other class.
 
     Lemma (canonical leaf).  The canonical form is unique per class, and it
     starts at a least entry, so among the tuples the min-first walk meets
@@ -268,19 +253,20 @@ def _run_shard(gen, n, bound, first, canonical_only=False):
     position 0, (t[0], t[-1], ...), is smaller than t, so t is not
     canonical.
     """
+    every = _coeff_values(gen, bound)
+    if len(every) == 1:  # every entry is 0
+        return [] if n % 2 else [((0,) * n, (-1) ** (n // 2))]
     scales = _position_scales(gen, n, bound)
     if scales is None:
         return []
-    if not scales[0]:  # the zero generator
-        return [] if n % 2 else [((0,) * n, (-1) ** (n // 2))]
     if n == 2:
         return [((0, 0), -1)]
     if n == 3:
         e = first * scales[0]
         return [((first,) * 3, -e)] if e in (1, -1) else []
-    vals = _min_first_values(gen, bound, first) if canonical_only else _coeff_values(gen, bound)
-    if canonical_only:
-        rank = dict(zip(vals, coeff_ranks(tuple(vals), gen)))
+    low = coeff_ranks((first,), gen)[0]
+    rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low}
+    vals = tuple(rank)
     levels = [[(first, first * scales[0])]]
     levels += [[(c, c * s) for c in vals] for s in scales[1 : n - 3]]
     s3, sx, sy = scales[n - 3], scales[n - 2], scales[n - 1]
@@ -309,21 +295,19 @@ def _run_shard(gen, n, bound, first, canonical_only=False):
                 if x % sx or y % sy:
                     continue
                 kx, ky = x // sx, y // sy
-                if c3 in vals and kx in vals and ky in vals:
+                if c3 in rank and kx in rank and ky in rank:
                     t = prefix + (c, c3, kx, ky)
-                    if not canonical_only or (
-                        rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t
-                    ):
+                    if rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t:
                         emit((t, -r11))
 
     rec(0, (), 1, 0, 0, 1)
     return found
 
 
-def _map_shards(gen, n, bound, shards, workers, canonical_only):
+def _map_shards(gen, n, bound, shards, workers):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
     serial path holds one shard's result at a time."""
-    run = functools.partial(_run_shard, gen, n, bound, canonical_only=canonical_only)
+    run = functools.partial(_run_shard, gen, n, bound)
     # the executor starts all max_workers processes at the first submit
     workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
@@ -335,25 +319,38 @@ def _map_shards(gen, n, bound, shards, workers, canonical_only):
 
 
 def _collect(spec: EnumSpec, found):
+    """Quiddities in the element order from the kernel's (canonical form,
+    sign) pairs: the classes sorted on coeff_ranks and, without
+    canonical_only, each expanded to its dihedral orbit sorted on the
+    tuples' own ranks (size, then the class's ranks, then the tuple's).
+
+    Lemma (orbits).  A rotation conjugates the product, M(a_1)*P*M(a_1)**-1,
+    so the sign is unchanged.  For reversal let S = diag(1, -1): S*M(a)*S =
+    M(a)^T, so the reversed tuple's product is S*P^T*S = eps*Id.  Dihedral
+    moves permute the entries, so they keep every |c| <= B and c >= 0, and
+    each orbit stays inside the bounded space: the classes' orbits are
+    disjoint and their union is every solution there.
+    """
     gen = spec.gen
-    if spec.canonical_only:  # one canonical form per class (see _run_shard)
-        # order_key of a canonical tuple of size n is (n, ranks, ranks)
-        found.sort(key=lambda pair: coeff_ranks(pair[0], gen))
+    ranks = functools.partial(coeff_ranks, gen=gen)
+    found.sort(key=lambda pair: ranks(pair[0]))
+    if spec.canonical_only:
         return [Quiddity(gen, cc, eps) for cc, eps in found]
-    qs = [Quiddity(gen, coeffs, eps) for coeffs, eps in found]
-    qs.sort(key=Quiddity.order_key)
-    return qs
+    return [Quiddity(gen, t, eps) for cc, eps in found
+            for t in sorted(set(dihedral_orbit(cc)), key=ranks)]
 
 
 def enumerate_quiddities(
     spec: EnumSpec, work_limit: int = DEFAULT_WORK_LIMIT, workers: int = 1, firsts=None
 ):
-    """Every verified tuple in the bounded space, deterministically sorted.
+    """Every verified tuple in the bounded space, or with canonical_only one
+    canonical form per dihedral class, deterministically sorted.
 
     Sharded on the first coefficient (all values, or the distinct ones in
-    firsts).  Shard c holds every tuple that starts with c; with
-    canonical_only it walks min-first (see _run_shard) and holds exactly the
-    canonical forms of the classes whose least entry is c, each once.
+    firsts).  Shard c walks min-first (see _run_shard) and holds exactly the
+    canonical forms of the classes whose least entry is c, each once, so
+    firsts selects the classes whose least entry is in it, in both modes;
+    plain output is the union of those classes' orbits (see _collect).
     Results are merged and re-sorted, so worker count never changes the
     output.  The work limit prices the full prefix tree
     (predicted_nodes), an upper bound on the nodes walked known up front,
@@ -374,7 +371,12 @@ def enumerate_quiddities(
     cost, text = priced_nodes(count, vals.stop - vals.start, levels)
     if cost is None or cost > work_limit:
         raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
-    found = _map_shards(gen, n, bound, shards, workers, spec.canonical_only)
+    if len(vals) > 1 and n > _MAX_WALK_SIZE:
+        raise WorkLimitExceeded(
+            f"size {n} is priced at more than 2^{n - 3} nodes; sizes above "
+            f"{_MAX_WALK_SIZE} with two or more coefficient values are refused whatever the limit"
+        )
+    found = _map_shards(gen, n, bound, shards, workers)
     return _collect(spec, found)
 
 

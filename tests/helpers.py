@@ -168,6 +168,14 @@ def canonical_form(t, key=element_key):
     return min(dihedral_orbit(t), key=lambda u: tuple(map(key, u)))
 
 
+def element_order(gen):
+    """Sort key on gen's coefficient tuples: size, then the canonical form,
+    then the tuple itself, each in the element order: the oracle for the
+    order of plain enumeration's output."""
+    key = coeff_key(gen)
+    return lambda t: (len(t), tuple(map(key, canonical_form(t, key))), tuple(map(key, t)))
+
+
 def brute_enumerate(gen, n, bound):
     """Filter the full coefficient grid through the generic matrix route."""
     lo = 0 if gen.nonneg else -bound

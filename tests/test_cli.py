@@ -238,6 +238,28 @@ _PINNED_DIGESTS = {
         "2a3416ecab16ad5dfb79d33785a78a9f3795853a506a11513870e2c8c35243f7",
     "enumerate --gen z --size 10 --bound 3 --canonical-only":
         "ebb83bab12408384354a237cac4a7212b4e6acc757432b7380137a204e8ecbbf",
+    # plain enumeration: every tuple of each class's orbit, one scale
+    # branch of the kernel each, in both shard orders and three formats
+    "enumerate --gen z --size 8 --bound 3 --workers 1":
+        "fea2a6b002f04dba00c30c824cf654ee6018f78264bcc554c79bcbe55c54b1fd",
+    "enumerate --gen z --size 8 --bound 3 --workers 2":
+        "fea2a6b002f04dba00c30c824cf654ee6018f78264bcc554c79bcbe55c54b1fd",
+    "enumerate --gen sqrt:2 --size 6 --bound 3":
+        "433b02aa858cba8811ad6c2485f62481c06710d2903d0c5433fe669262094dd6",
+    "enumerate --gen isqrt:1 --size 6 --bound 3":
+        "32598bad45443d21b35c1cdfc730b08fc5a742478e8f31a682749c64fa7e391e",
+    "enumerate --gen alpha --size 6 --bound 2":
+        "af1b8ab338f467c278e436fa3cbd6494f2f7ab9b9257a9b23a251b8fd22514c9",
+    "enumerate --gen z:-3 --size 7 --bound 3":
+        "97d07cdcd6689499392dc0eafdbf44263198244936fcb128cbb8898edc038532",
+    "enumerate --gen z:0 --size 6 --bound 2":
+        "b69fcc88fd1ed0dd7c622254804e797d44b1d01924eeecc98eaf3da7a44e782f",
+    "enumerate --gen isqrt:2+nonneg --size 6 --bound 3":
+        "c29834a348d89c14c927765db8f1d36c9aa8ef83fc7222bbbfda19deb1cde90f",
+    "enumerate --gen z --size 6 --bound 2 --format text":
+        "108e36b366fdfb7ef3bcbb847a34be0f6cf42248ce9b6349462c242687720dc2",
+    "enumerate --gen z --size 6 --bound 2 --format csv":
+        "de197cd1983b8d618918a6a6bd456051fa27f0d5eab0d524c254c5ae1a6d82a2",
 }
 
 
@@ -547,6 +569,58 @@ class TestPricing:
         (k,) = re.findall(r"more than 10\^(\d+) nodes \(limit 1000\)", capsys.readouterr().err)
         levels = 20000 if argv[0] == "enumerate" else 19999
         assert int(k) > 4300 and predicted_nodes(3, levels) > 10 ** int(k)
+
+
+class TestDeepSizes:
+    """Sizes deeper than the walker recurses: one coefficient value needs no
+    walk, and two or more are refused before walking whatever the limit."""
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            ("enumerate --gen z --size 2000 --bound 0", 1),
+            ("enumerate --gen z:0 --size 2001 --bound 5", 0),
+            ("classify --gen z --min-size 1199 --max-size 1200 --bound 0", 0),
+            ("even-search --size 2000 --bound 0", 0),
+        ],
+        ids=["enumerate", "zero-generator", "classify", "even-search"],
+    )
+    def test_one_value_is_solved_without_a_walk(self, argv, count):
+        code, out = run_cli(*argv.split())
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == count
+        if count:  # M(0)**2 = -Id: the zero tuple of size 2000 has sign +1
+            (item,) = payload["items"]
+            assert item["coeffs"] == [0] * 2000 and item["sign"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--gen", "z+nonneg", "--size", "1100", "--bound", "1"],
+            ["enumerate", "--gen", "sqrt:2", "--size", "1100", "--bound", "1", "--canonical-only"],
+            ["even-search", "--size", "1100", "--bound", "1"],
+        ],
+        ids=["enumerate", "canonical-only", "even-search"],
+    )
+    def test_two_values_are_refused_under_any_limit(self, argv, capsys):
+        code, out = run_cli(*argv, "--work-limit", str(10 ** 600))
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert "refused whatever the limit" in err and "Traceback" not in err
+
+    def test_a_refused_sweep_writes_no_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        code, out = run_cli("even-search", "--size", "1100", "--bound", "1",
+                            "--work-limit", str(10 ** 600), "--checkpoint", str(path))
+        assert code == 3 and out == "" and not path.exists()
+        assert "no checkpoint path given" not in capsys.readouterr().err
+
+    def test_a_limit_past_the_machine_word_sweeps_every_shard(self):
+        code, out = run_cli("even-search", "--size", "8", "--bound", "2", "--work-limit", str(10 ** 30))
+        assert code == 0
+        _, want = run_cli("even-search", "--size", "8", "--bound", "2")
+        assert json.loads(out)["items"] == json.loads(want)["items"]
 
 
 _COMMANDS = (

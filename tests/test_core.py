@@ -10,6 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from quiddity import (
+    EnumSpec,
     GeneratorSpec,
     Int,
     Mat2,
@@ -22,6 +23,7 @@ from quiddity import (
     continuant_euler,
     continuant_rec,
     dihedral_orbit,
+    enumerate_quiddities,
     is_quiddity,
     mat_of,
     product_matrix,
@@ -30,7 +32,14 @@ from quiddity import (
     sum_oplus,
 )
 
-from helpers import GENERATORS, canonical_form, coeff_key, gen_pair_embedding, pair_sign
+from helpers import (
+    GENERATORS,
+    canonical_form,
+    coeff_key,
+    element_order,
+    gen_pair_embedding,
+    pair_sign,
+)
 
 Z = GeneratorSpec.from_string("z")
 
@@ -250,13 +259,10 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("gen", RANK_GENERATORS, ids=lambda g: g.to_string())
     def test_order_key_follows_element_order(self, gen):
-        key = coeff_key(gen)
-
-        def oracle(q):
-            return (q.size, tuple(map(key, canonical_form(q.coeffs, key))), tuple(map(key, q.coeffs)))
-
-        qs = [Quiddity(gen, t) for n in range(1, 5) for t in product(range(-2, 3), repeat=n)]
-        assert sorted(qs, key=Quiddity.order_key) == sorted(qs, key=oracle)
+        # plain enumeration lists each class's orbit in turn (solve._collect)
+        for n in range(2, 7):
+            got = [q.coeffs for q in enumerate_quiddities(EnumSpec(gen, n, 2))]
+            assert got == sorted(got, key=element_order(gen))
 
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.to_string())
     @given(data=st.data())

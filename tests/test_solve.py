@@ -45,6 +45,7 @@ from helpers import (
     brute_tail_completions,
     child_env,
     cmp_abs_squared_with_4,
+    element_order,
     full_walk_shard,
     generic_decomposition,
     kernel_tail,
@@ -148,10 +149,8 @@ class TestEnumerate:
     def test_matches_brute_force(self, gen):
         for n in range(2, 6):
             got = [(q.coeffs, q.sign) for q in enumerate_quiddities(EnumSpec(gen, n, 2))]
-            assert got == sorted(
-                brute_enumerate(gen, n, 2),
-                key=lambda pair: Quiddity(gen, pair[0], pair[1]).order_key(),
-            )
+            order = element_order(gen)
+            assert got == sorted(brute_enumerate(gen, n, 2), key=lambda pair: order(pair[0]))
 
     def test_alpha_kronecker_substitution_is_sound(self):
         # every tuple the integer walker accepts at X := M must solve over X
@@ -263,12 +262,16 @@ class TestEnumerate:
 class TestKernel:
     @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
     def test_shards_equal_the_full_walk(self, gen):
+        # plain enumeration, the classes' orbits, is the union of the full
+        # walk's shards, each tuple once
         for n in range(2, 8 if gen.ring[0] == "poly" else 9):
             for bound in range(4):
+                want = set()
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
-                    got = solve._run_shard(gen, n, bound, first)
-                    assert set(got) == set(full_walk_shard(gen, n, bound, first))
-                    assert len(got) == len(set(got))
+                    want.update(full_walk_shard(gen, n, bound, first))
+                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(EnumSpec(gen, n, bound))]
+                assert set(got) == want
+                assert len(got) == len(want)
 
     @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
     def test_min_first_shards_equal_the_full_walk_above_their_entry(self, gen):
@@ -282,7 +285,7 @@ class TestKernel:
                         low = coeff_ranks((first,), gen)[0]
                         want = [(c, eps) for c, eps in want if min(coeff_ranks(c, gen)) >= low]
                     classes = {canonical_coeffs(c, gen): eps for c, eps in want}
-                    got = solve._run_shard(gen, n, bound, first, canonical_only=True)
+                    got = solve._run_shard(gen, n, bound, first)
                     assert set(got) == set(classes.items())
                     assert len(got) == len(set(got))
                     assert all(canonical_coeffs(c, gen) == c for c, _ in got)
@@ -312,12 +315,24 @@ class TestKernel:
     )
     def test_zero_first_entry_walks_the_third_level(self, gen):
         # at n = 4 the product before the third-from-last entry has p11 =
-        # 0*s = 0, so every entry there completes: (0, m, 0, -m) over Z
+        # 0*s = 0, so every entry there completes; shard 0 keeps only the
+        # zero tuple, and each (0, m, 0, -m) comes as a class from the shard
+        # of its least entry: (-m, 0, m, 0) over Z
         for bound in range(4):
-            want = {(c, eps) for c, eps in brute_enumerate(gen, 4, bound) if c[0] == 0}
-            assert set(solve._run_shard(gen, 4, bound, 0)) == want
+            assert solve._run_shard(gen, 4, bound, 0) == [((0, 0, 0, 0), 1)]
+            union = {
+                pair
+                for first in solve._coeff_values(gen, bound)
+                for pair in solve._run_shard(gen, 4, bound, first)
+            }
+            want = {
+                (canonical_coeffs(c, gen), eps)
+                for c, eps in brute_enumerate(gen, 4, bound)
+                if c[0] == 0
+            }
+            assert want <= union
             if gen == Z:
-                assert len(want) == 2 * bound + 1
+                assert want == {((-m, 0, m, 0), 1) for m in range(bound + 1)}
 
     def test_third_entries_are_exactly_the_completable_ones(self):
         for vals in (range(-3, 4), range(0, 4), range(1)):
