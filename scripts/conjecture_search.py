@@ -6,10 +6,12 @@ Evidence for the growing-size question accumulates as JSONL lines of the form
 repeated runs at larger sizes or bounds extend the record.  Each size is one
 `quiddity even-search --checkpoint FILE` run, which resumes from its own FILE
 when it exists, so a rerun over a complete checkpoint sweeps nothing and
-appends that size's record again.  The first nonzero CLI exit code stops the
-sweep and is returned: 3 for a work-limit abort (checkpoint saved, rerun to
-continue), 2 for a bad path or checkpoint, before any sweep.  An evidence
-file that cannot be written exits 2 as well.
+appends that size's record again.  Without --work-limit each run takes the
+subcommand's default budget, QUIDDITY_WORK_LIMIT when it is set.  The first
+nonzero CLI exit code stops the sweep and is returned: 3 for a work-limit
+abort (checkpoint saved, rerun to continue), 2 for a bad path, checkpoint or
+QUIDDITY_WORK_LIMIT, before any sweep.  An evidence file that cannot be
+written exits 2 as well.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def main() -> int:
     ap.add_argument("--sizes", type=_even_sizes, default="4,6,8", help="comma-separated even sizes")
     ap.add_argument("--bound", type=_at_least(0), default=2)
     ap.add_argument("--mode", choices=(MODE_STRICT, MODE_EQUIV), default=MODE_EQUIV)
-    ap.add_argument("--work-limit", type=_at_least(0), default=10**8)
+    ap.add_argument("--work-limit", type=_at_least(0),
+                    help="node budget per size; defaults as for the even-search subcommand")
     ap.add_argument("--workers", type=_at_least(1), default=1)
     ap.add_argument("--evidence", default="even_irreducible_evidence.jsonl")
     ap.add_argument("--checkpoint-dir", default=".")
@@ -67,8 +70,9 @@ def main() -> int:
             args.checkpoint_dir, f"even_search_n{n}_b{args.bound}_{args.mode}.json"
         )
         argv = ["even-search", "--size", n, "--bound", args.bound, "--mode", args.mode,
-                "--work-limit", args.work_limit, "--workers", args.workers,
-                "--checkpoint", ck_path, "--format", "jsonl"]
+                "--workers", args.workers, "--checkpoint", ck_path, "--format", "jsonl"]
+        if args.work_limit is not None:
+            argv += ["--work-limit", args.work_limit]
         buf = io.StringIO()
         code = cli.main([str(a) for a in argv], out=buf)
         if code:

@@ -23,12 +23,7 @@ from .core import (
 from .even import MODE_EQUIV, is_evenly_reducible
 from .maps import phi, phi_inverse, rescale_even
 from .rings import GeneratorSpec, Int, NoModulusError, Poly, Quad
-from .solve import (
-    EnumSpec,
-    classify_irreducibles,
-    enumerate_quiddities,
-    is_irreducible,
-)
+from .solve import classify_irreducibles, enumerate_quiddities, is_irreducible
 
 
 def expected_irreducible_classes(gen: GeneratorSpec, min_size, max_size, bound):
@@ -136,8 +131,7 @@ def small_entries_probe(gen_strings, max_size, bound, workers=1):
         bad = []
         count = 0
         for n in range(2, max_size + 1):
-            spec = EnumSpec(gen, n, bound, canonical_only=True)
-            for q in enumerate_quiddities(spec, workers=workers):
+            for q in enumerate_quiddities(gen, n, bound, canonical_only=True, workers=workers):
                 count += 1
                 if not check_two_small_entries(q):
                     bad.append(q.coeffs)
@@ -154,8 +148,7 @@ def _phi_mismatches(gen, sizes, bound, agree, workers):
     disagreeing `source -> image` pair ("" when they all agree)."""
     checked, bad = 0, []
     for n in sizes:
-        spec = EnumSpec(gen, n, bound, canonical_only=True)
-        for q in enumerate_quiddities(spec, workers=workers):
+        for q in enumerate_quiddities(gen, n, bound, canonical_only=True, workers=workers):
             img = phi(q)
             checked += 1
             if not agree(q, img):
@@ -184,7 +177,7 @@ def bijection_probe(ks, max_size, bound, workers=1):
         yield ProbeResult(name, not failure, failure or f"ok, checked {checked}")
         bad = []
         for n in range(2, max_size + 1, 2):
-            for q in enumerate_quiddities(EnumSpec(src, n, bound), workers=workers):
+            for q in enumerate_quiddities(src, n, bound, workers=workers):
                 if phi_inverse(phi(q)).coeffs != q.coeffs:
                     bad.append(q.coeffs)
         yield ProbeResult(

@@ -14,13 +14,12 @@ import json
 import os
 import sys
 
-from .core import Quiddity, TheoremViolation, is_quiddity
+from .core import Quiddity, TheoremViolation, canonical_coeffs, is_quiddity
 from .even import MODE_EQUIV, MODES, EvenSearchState, search_evenly_irreducible
 from .maps import phi, phi_inverse, rescale_even, rescale_even_inverse
 from .rings import GeneratorSpec, format_element, parse_element
 from .solve import (
     DEFAULT_WORK_LIMIT,
-    EnumSpec,
     NotAQuiddityError,
     WorkLimitExceeded,
     classify_irreducibles,
@@ -125,10 +124,19 @@ def _config(args) -> dict:
     return config
 
 
-def _quiddity_payload(q: Quiddity, irreducible=None, is_canonical=False) -> dict:
-    out = q.to_json_dict(irreducible, is_canonical)
-    out["size"] = q.size
-    out["elements"] = [format_element(e) for e in q.elements()]
+def _quiddity_payload(q: Quiddity, canonical: tuple, irreducible=None) -> dict:
+    """One output item: q's fields, with its dihedral class's canonical form
+    (q.coeffs when q is in it, so no canonical form is recomputed)."""
+    out = {
+        "coeffs": list(q.coeffs),
+        "generator": q.gen.descriptor(),
+        "sign": q.sign,
+        "canonical": list(canonical),
+        "size": q.size,
+        "elements": [format_element(e) for e in q.elements()],
+    }
+    if irreducible is not None:
+        out["irreducible"] = irreducible
     return out
 
 
@@ -181,7 +189,7 @@ def _cmd_verify(args, out) -> int:
         "elements": [format_element(e) for e in elements],
         "is_quiddity": eps is not None,
         "sign": eps,
-        "canonical": [int(c) for c in Quiddity(gen, coeffs).canonical_coeffs()],
+        "canonical": list(canonical_coeffs(coeffs, gen)),
     }
     verdict = f"sign {eps:+d}" if eps is not None else "not a solution"
     _emit_object(args, payload, out, [f"{tuple(coeffs)} over {gen.to_string()}: {verdict}"])
@@ -190,9 +198,18 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     gen = GeneratorSpec.from_string(args.gen)
-    spec = EnumSpec(gen, args.size, args.bound, canonical_only=args.canonical_only)
-    found = enumerate_quiddities(spec, work_limit=args.work_limit, workers=args.workers)
-    items = [_quiddity_payload(q, is_canonical=args.canonical_only) for q in found]
+    found = enumerate_quiddities(
+        gen,
+        args.size,
+        args.bound,
+        canonical_only=args.canonical_only,
+        work_limit=args.work_limit,
+        workers=args.workers,
+    )
+    if args.canonical_only:
+        items = [_quiddity_payload(q, q.coeffs) for q in found]
+    else:
+        items = [_quiddity_payload(q, q.canonical().coeffs) for q in found]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
@@ -206,26 +223,38 @@ def _cmd_classify(args, out) -> int:
         work_limit=args.work_limit,
         workers=args.workers,
     )
-    items = [_quiddity_payload(q, irreducible=True, is_canonical=True) for q in found]
+    items = [_quiddity_payload(q, q.coeffs, irreducible=True) for q in found]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 
 
 def _cmd_decompose(args, out) -> int:
     q = _verified_input(args)
-    witness = find_decomposition(q, parity=args.parity)
+    w = find_decomposition(q, parity=args.parity)
+    lines = [f"{q.coeffs}: " + ("reducible" if w else "no decomposition found")]
+    witness = None
+    if w:
+        witness = {
+            "rotation": w.rotation,
+            "reflected": w.reflected,
+            "representative": list(w.representative),
+            "left": list(w.left),
+            "right": {
+                "coeffs": list(w.right.coeffs),
+                "generator": w.right.gen.descriptor(),
+                "sign": w.right.sign,
+                "canonical": list(w.right.canonical().coeffs),
+            },
+            "left_size": len(w.left),
+            "right_size": w.right.size,
+        }
+        lines.append(f"  representative {w.representative} = {w.left} (+) {w.right.coeffs}")
     payload = {
         "config": _config(args),
-        "input": _quiddity_payload(q),
-        "reducible": witness is not None,
-        "witness": witness.to_json_dict() if witness else None,
+        "input": _quiddity_payload(q, q.canonical().coeffs),
+        "reducible": w is not None,
+        "witness": witness,
     }
-    lines = [f"{q.coeffs}: " + ("reducible" if witness else "no decomposition found")]
-    if witness:
-        lines.append(
-            f"  representative {witness.representative} = "
-            f"{tuple(witness.left)} (+) {tuple(witness.right.coeffs)}"
-        )
     _emit_object(args, payload, out, lines)
     return EXIT_OK
 
@@ -235,8 +264,8 @@ def _cmd_phi(args, out) -> int:
     image = phi_inverse(q) if args.inverse else phi(q)
     payload = {
         "config": _config(args),
-        "source": _quiddity_payload(q),
-        "target": _quiddity_payload(image),
+        "source": _quiddity_payload(q, q.canonical().coeffs),
+        "target": _quiddity_payload(image, image.canonical().coeffs),
     }
     line = f"{q.coeffs} over {q.gen.to_string()} -> {image.coeffs} over {image.gen.to_string()}"
     _emit_object(args, payload, out, [line])
@@ -282,7 +311,7 @@ def _cmd_triangulate(args, out) -> int:
             "triangles": [list(t) for t in witness.triangulation.triangles],
             "labels": list(witness.labels),
             "vertex_sums": list(vertex_sums(witness)),
-            "quiddity": _quiddity_payload(induced),
+            "quiddity": _quiddity_payload(induced, induced.canonical().coeffs),
         },
     }
     _emit_object(args, payload, out, [render_labeling(witness)])
@@ -332,7 +361,7 @@ def _cmd_even_search(args, out) -> int:
         return EXIT_WORK_LIMIT
     if args.checkpoint:
         _checkpoint_io(final.save, args.checkpoint)
-    items = [{**_quiddity_payload(q, is_canonical=True), "equiv_reducible": red} for q, red in results]
+    items = [{**_quiddity_payload(q, q.coeffs), "equiv_reducible": red} for q, red in results]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 

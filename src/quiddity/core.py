@@ -256,29 +256,8 @@ class Quiddity:
         eps = is_quiddity(tuple(gen.embed(c) for c in coeffs))
         return None if eps is None else cls(gen, coeffs, eps)
 
-    def canonical_coeffs(self) -> tuple[int, ...]:
-        return canonical_coeffs(self.coeffs, self.gen)
-
     def canonical(self) -> "Quiddity":
-        return Quiddity(self.gen, self.canonical_coeffs(), self.sign)
-
-    def to_json_dict(self, irreducible: bool | None = None, is_canonical: bool = False) -> dict:
-        """The JSON payload; is_canonical=True skips recomputing the
-        canonical form of a tuple known to be in it."""
-        out = {
-            "coeffs": list(self.coeffs),
-            "generator": self.gen.descriptor(),
-            "sign": self.sign,
-            "canonical": list(self.coeffs if is_canonical else self.canonical_coeffs()),
-        }
-        if irreducible is not None:
-            out["irreducible"] = irreducible
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Quiddity":
-        gen = GeneratorSpec.from_descriptor(obj["generator"])
-        return cls(gen, tuple(obj["coeffs"]), obj.get("sign"))
+        return Quiddity(self.gen, canonical_coeffs(self.coeffs, self.gen), self.sign)
 
 
 def reduce_zero(q: Quiddity, j: int) -> Quiddity:

@@ -22,7 +22,6 @@ from .maps import OddSizeError
 from .rings import GeneratorSpec
 from .solve import (
     DEFAULT_WORK_LIMIT,
-    EnumSpec,
     NotAQuiddityError,
     PARITY_EVEN,
     WorkLimitExceeded,
@@ -242,8 +241,11 @@ def search_evenly_irreducible(
     batch = list(islice(pending, affordable))
     overflow = shards - len(done) - len(batch)
     if batch:
-        spec = EnumSpec(_Z, size, bound, canonical_only=True)
-        for q in enumerate_quiddities(spec, work_limit, workers, firsts=batch):
+        found = enumerate_quiddities(
+            _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
+            firsts=batch,
+        )
+        for q in found:
             if q.coeffs not in records:
                 strict, equiv = _even_verdicts(q)
                 if not strict:

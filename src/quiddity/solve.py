@@ -68,17 +68,6 @@ class WorkLimitExceeded(RuntimeError):
         self.state = state
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """Bounded exhaustive search space: size-n tuples over gen, |k_j| <= bound
-    (0 <= k_j <= bound for nonneg generators)."""
-
-    gen: GeneratorSpec
-    size: int
-    bound: int
-    canonical_only: bool = False
-
-
 def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
     """The coefficients one position takes, as a range: a search is priced
     from its length before any value is built."""
@@ -318,7 +307,7 @@ def _map_shards(gen, n, bound, shards, workers):
         return [pair for chunk in pool.map(run, shards) for pair in chunk]
 
 
-def _collect(spec: EnumSpec, found):
+def _collect(gen, found, canonical_only):
     """Quiddities in the element order from the kernel's (canonical form,
     sign) pairs: the classes sorted on coeff_ranks and, without
     canonical_only, each expanded to its dihedral orbit sorted on the
@@ -331,19 +320,26 @@ def _collect(spec: EnumSpec, found):
     each orbit stays inside the bounded space: the classes' orbits are
     disjoint and their union is every solution there.
     """
-    gen = spec.gen
     ranks = functools.partial(coeff_ranks, gen=gen)
     found.sort(key=lambda pair: ranks(pair[0]))
-    if spec.canonical_only:
+    if canonical_only:
         return [Quiddity(gen, cc, eps) for cc, eps in found]
     return [Quiddity(gen, t, eps) for cc, eps in found
             for t in sorted(set(dihedral_orbit(cc)), key=ranks)]
 
 
 def enumerate_quiddities(
-    spec: EnumSpec, work_limit: int = DEFAULT_WORK_LIMIT, workers: int = 1, firsts=None
+    gen: GeneratorSpec,
+    size: int,
+    bound: int,
+    *,
+    canonical_only: bool = False,
+    work_limit: int = DEFAULT_WORK_LIMIT,
+    workers: int = 1,
+    firsts=None,
 ):
-    """Every verified tuple in the bounded space, or with canonical_only one
+    """Every verified tuple of the given size over gen with |k_j| <= bound
+    (0 <= k_j <= bound for nonneg generators), or with canonical_only one
     canonical form per dihedral class, deterministically sorted.
 
     Sharded on the first coefficient (all values, or the distinct ones in
@@ -356,28 +352,27 @@ def enumerate_quiddities(
     (predicted_nodes), an upper bound on the nodes walked known up front,
     which keeps it a hard precondition rather than a mid-flight truncation.
     """
-    gen, n, bound = spec.gen, spec.size, spec.bound
-    if n < 2:
+    if size < 2:
         raise ValueError("enumeration needs size >= 2")
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
     vals = _coeff_values(gen, bound)
     if firsts is None:
-        shards, count, levels = ([None] if n == 2 else vals), 1, n
-    elif n == 2 or len(set(firsts)) != len(firsts) or not all(f in vals for f in firsts):
+        shards, count, levels = ([None] if size == 2 else vals), 1, size
+    elif size == 2 or len(set(firsts)) != len(firsts) or not all(f in vals for f in firsts):
         raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
     else:
-        shards, count, levels = list(firsts), len(firsts), n - 1
+        shards, count, levels = list(firsts), len(firsts), size - 1
     cost, text = priced_nodes(count, vals.stop - vals.start, levels)
     if cost is None or cost > work_limit:
         raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
-    if len(vals) > 1 and n > _MAX_WALK_SIZE:
+    if len(vals) > 1 and size > _MAX_WALK_SIZE:
         raise WorkLimitExceeded(
-            f"size {n} is priced at more than 2^{n - 3} nodes; sizes above "
+            f"size {size} is priced at more than 2^{size - 3} nodes; sizes above "
             f"{_MAX_WALK_SIZE} with two or more coefficient values are refused whatever the limit"
         )
-    found = _map_shards(gen, n, bound, shards, workers)
-    return _collect(spec, found)
+    found = _map_shards(gen, size, bound, shards, workers)
+    return _collect(gen, found, canonical_only)
 
 
 @dataclass(frozen=True)
@@ -394,25 +389,6 @@ class Decomposition:
     representative: tuple[int, ...]
     left: tuple[int, ...]
     right: Quiddity
-
-    @property
-    def left_size(self) -> int:
-        return len(self.left)
-
-    @property
-    def right_size(self) -> int:
-        return self.right.size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rotation": self.rotation,
-            "reflected": self.reflected,
-            "representative": list(self.representative),
-            "left": list(self.left),
-            "right": self.right.to_json_dict(),
-            "left_size": self.left_size,
-            "right_size": self.right_size,
-        }
 
 
 def _scan_representative(rep, gen, parity):
@@ -506,8 +482,8 @@ def classify_irreducibles(
     """Canonical irreducible tuples for every size in [min_size, max_size]."""
     out = []
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
-        spec = EnumSpec(gen, n, bound, canonical_only=True)
-        for q in enumerate_quiddities(spec, work_limit=work_limit, workers=workers):
-            if is_irreducible(q):
-                out.append(q)
+        found = enumerate_quiddities(
+            gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers
+        )
+        out += [q for q in found if is_irreducible(q)]
     return out

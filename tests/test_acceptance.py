@@ -10,7 +10,6 @@ from functools import lru_cache
 from itertools import product
 
 from quiddity import (
-    EnumSpec,
     GeneratorSpec,
     Int,
     MODE_EQUIV,
@@ -47,7 +46,7 @@ NAT = GeneratorSpec.from_string("z+nonneg")
 @lru_cache(maxsize=None)
 def _enum(gen_text: str, n: int, bound: int, canonical: bool = False):
     gen = GeneratorSpec.from_string(gen_text)
-    return tuple(enumerate_quiddities(EnumSpec(gen, n, bound, canonical_only=canonical)))
+    return tuple(enumerate_quiddities(gen, n, bound, canonical_only=canonical))
 
 
 def _finish(num: int, name: str, started: float, budget: float):
@@ -149,7 +148,7 @@ def test_criterion_04_sign_transport_bijection():
             verdicts: dict = {}
 
             def irr(q):
-                key = (q.gen, q.canonical_coeffs())
+                key = (q.gen, q.canonical().coeffs)
                 if key not in verdicts:
                     verdicts[key] = is_irreducible(q)
                 return verdicts[key]
@@ -246,7 +245,7 @@ def test_criterion_08_triangulation_equivalence():
         for q in _enum("z", n, 2, canonical=True):
             w = find_labeling(q, 4)
             assert w is not None, q.coeffs
-            assert quiddity_of_labeling(w).coeffs == q.canonical_coeffs()
+            assert quiddity_of_labeling(w).coeffs == q.canonical().coeffs
             witnessed += 1
     assert witnessed > 20
     _finish(8, "triangulation equivalence", started, 600)
@@ -307,37 +306,26 @@ def test_criterion_10_oracle_equivalences():
 
 def test_criterion_11_worker_determinism():
     started = time.time()
-    import json
 
-    def dump(payload):
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    def classification(workers):
+        return [
+            classify_irreducibles(GeneratorSpec("sqrt", k), 8, 4, workers=workers)
+            for k in range(7)
+        ]
 
-    def classification_bytes(workers):
-        out = []
-        for k in range(7):
-            gen = GeneratorSpec("sqrt", k)
-            found = classify_irreducibles(gen, 8, 4, workers=workers)
-            out.append(dump([q.to_json_dict(True) for q in found]))
-        return "\n".join(out)
+    def transport(workers):
+        return [
+            enumerate_quiddities(GeneratorSpec(fam, k), n, 3, workers=workers)
+            for k in (1, 2, 3, 5)
+            for fam in ("isqrt", "sqrt")
+            for n in range(2, 9)
+        ]
 
-    def transport_bytes(workers):
-        out = []
-        for k in (1, 2, 3, 5):
-            for fam in ("isqrt", "sqrt"):
-                gen = GeneratorSpec(fam, k)
-                for n in range(2, 9):
-                    found = enumerate_quiddities(EnumSpec(gen, n, 3), workers=workers)
-                    out.append(dump([q.to_json_dict() for q in found]))
-        return "\n".join(out)
+    def oracle(workers):
+        return [enumerate_quiddities(Z, n, 3, workers=workers) for n in range(2, 7)]
 
-    def oracle_bytes(workers):
-        out = []
-        for n in range(2, 7):
-            found = enumerate_quiddities(EnumSpec(Z, n, 3), workers=workers)
-            out.append(dump([q.to_json_dict() for q in found]))
-        return "\n".join(out)
-
-    assert classification_bytes(1) == classification_bytes(8)
-    assert transport_bytes(1) == transport_bytes(8)
-    assert oracle_bytes(1) == oracle_bytes(8)
+    # Quiddity equality covers generator, coefficients and sign, in order
+    assert classification(1) == classification(8)
+    assert transport(1) == transport(8)
+    assert oracle(1) == oracle(8)
     _finish(11, "byte-identical output across worker counts", started, 600)

@@ -61,10 +61,10 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def run_script(*argv, cwd):
+def run_script(*argv, cwd, **env):
     return subprocess.run(
         [sys.executable, str(CONJECTURE_SEARCH), *argv],
-        capture_output=True, text=True, cwd=cwd, env=child_env(),
+        capture_output=True, text=True, cwd=cwd, env=child_env(**env),
     )
 
 
@@ -134,7 +134,7 @@ class TestEnumerate:
         assert lines[-1]["type"] == "summary"
         for obj in lines[1:-1]:
             assert obj["type"] == "quiddity"
-            q = Quiddity.from_json_dict(obj)
+            q = Quiddity(GeneratorSpec.from_descriptor(obj["generator"]), obj["coeffs"])
             assert q.verify() == obj["sign"]
 
     def test_csv_columns(self):
@@ -260,6 +260,55 @@ _PINNED_DIGESTS = {
         "108e36b366fdfb7ef3bcbb847a34be0f6cf42248ce9b6349462c242687720dc2",
     "enumerate --gen z --size 6 --bound 2 --format csv":
         "de197cd1983b8d618918a6a6bd456051fa27f0d5eab0d524c254c5ae1a6d82a2",
+    # object commands, whose payloads the CLI assembles, in json and text
+    # (csv prints the json payload); a non-solution and a tuple with no
+    # decomposition among them
+    "verify --gen sqrt:2 --tuple [1,1,1,1]":
+        "0c12359a3353e09e8a25040608f8de023561b4b5f1b28063c884da4946818a1a",
+    "verify --gen sqrt:2 --tuple [1,1,1,1] --format text":
+        "4497f1abde16eb94a0ebc6ff0e8e33033c886a6ef72f2915c9abdbba57779d14",
+    "verify --gen z --tuple [1,2]":
+        "1e4c3b7199558150aa6ceb8e6ff3c7d0283f858982be7fedd15dc023d25fc4f4",
+    "verify --gen z --tuple [1,2] --format text":
+        "a01c10ad3b0e82cadebedc74d2e0c73169f2d181cb4671fb770d9dfe30c3abbd",
+    "verify --gen alpha --tuple [0,1,0,-1]":
+        "6f7e7301925943ba2a2527581f373ef291954707803bce061a10aff54dc8ae66",
+    "verify --gen alpha --tuple [0,1,0,-1] --format text":
+        "b4c27e5dd1ba98c126c495b8a6b68bcd03ad19ed7b4a58e3d0391c1e79c87614",
+    "decompose --gen z --tuple [2,2,1,4,1,2]":
+        "268b214f90ffa265713a5f9e03b7559d172a9922dd68b28333dbc4c8017eab09",
+    "decompose --gen z --tuple [2,2,1,4,1,2] --format text":
+        "a42a9ce85380b76663bce13035b4115d581c80ad603837dc2875c1ebb9e4dfb5",
+    "decompose --gen z --tuple [1,2,1,2,1,2,1,2] --parity even":
+        "d0e9ceec95b927646a774e8e7379b4eea0b5e424b383d2d6d81f19ef285c9236",
+    "decompose --gen z --tuple [1,2,1,2,1,2,1,2] --parity even --format text":
+        "6a23072afc3b416d3ae73d2609de8bbb204582eba28a288295d3732f43c3110f",
+    "decompose --gen sqrt:2 --tuple [-1,1,1,1,2,0]":
+        "c132c9ca97299fa287fffaded344b1318da04b48fee9a2c2151f4668917a0ecf",
+    "decompose --gen sqrt:2 --tuple [-1,1,1,1,2,0] --format text":
+        "d9d1f59a6822bceaf63d48b12e9cc61345eba52cb0f22d3c00db64f8cc5d6ca0",
+    "decompose --gen z --tuple [1,1,1]":
+        "54ba7957037db9848ce15094a0695962a217bf2cd2f5d3cf9efb6a28e9c65c20",
+    "decompose --gen z --tuple [1,1,1] --format text":
+        "e88b4b8af79f2b70acd2e1023c4da59822308e3e49233cf3abecc4de257ad0d0",
+    "phi --gen isqrt:2 --tuple [1,-1,1,-1]":
+        "decc2ea511ef57d0d046e6c6328bbe19900c279451a91a98e806c73d381dd840",
+    "phi --gen isqrt:2 --tuple [1,-1,1,-1] --format text":
+        "e728daa5082d50e2d65273d7cb13d50117e7541d5d9265f8f9899953194ef898",
+    "phi --gen sqrt:2 --tuple [1,1,1,1] --inverse":
+        "5a62f48953af42cf140737b465fc7df56be8de6427fb6d3266dff2515c58d963",
+    "phi --gen sqrt:2 --tuple [1,1,1,1] --inverse --format text":
+        "d09c5bab911d4baef562e5c15592a96590375e3d6e60fc97c40969e7867ec42c",
+    "triangulate --gen z --tuple [1,2,2,1,3]":
+        "3b01bb8b9eb319eec3ed01474c7697736f467386a5d0a250fb4bdb3e817d8242",
+    "triangulate --gen z --tuple [1,2,2,1,3] --format text":
+        "34f2e0ac12e2c44dec9806a550f15d0adda42ae70f6f061c053406e3305b1690",
+    "triangulate --gen z --tuple [0,2,0,-2]":
+        "4cd41daa4102a4d0e72ea08f7cfd10966f70fe76c5a67588a4e0b6cdf4a0bc17",
+    "triangulate --gen z --tuple [0,2,0,-2] --format text":
+        "e07742cce972df0fb36bd495ecdda2089a0dc2cc09434f3848ec34b16cb2a75e",
+    "decompose --gen z --tuple [2,2,1,4,1,2] --format csv":
+        "268b214f90ffa265713a5f9e03b7559d172a9922dd68b28333dbc4c8017eab09",
 }
 
 
@@ -280,7 +329,7 @@ class TestClassify:
         got = {tuple(item["coeffs"]) for item in payload["items"]}
         z = GeneratorSpec.from_string("z")
         expect = {
-            Quiddity(z, c).canonical_coeffs()
+            Quiddity(z, c).canonical().coeffs
             for c in [(1, 1, 1), (-1, -1, -1), (0, 0, 0, 0), (0, 2, 0, -2)]
         }
         assert got == expect
@@ -525,6 +574,30 @@ class TestConjectureSearchScript:
             assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
         first, second = (tmp_path / "even_irreducible_evidence.jsonl").read_text().splitlines()
         assert first == second and json.loads(first)["count"] == 2
+
+    def test_environment_work_limit_applies_without_the_flag(self, tmp_path):
+        # one size-8, bound-2 shard needs 3906 nodes
+        proc = run_script("--sizes", "8", "--bound", "2", cwd=tmp_path, QUIDDITY_WORK_LIMIT="10")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "checkpoint written" in proc.stderr
+        ck = tmp_path / "even_search_n8_b2_up-to-equivalence.json"
+        assert list(tmp_path.iterdir()) == [ck]  # no evidence line
+        assert EvenSearchState.load(str(ck)).done == ()
+
+    def test_malformed_environment_work_limit_is_usage_error_before_any_write(self, tmp_path):
+        proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path, QUIDDITY_WORK_LIMIT="ten")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --work-limit" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_work_limit_flag_overrides_the_environment(self, tmp_path):
+        # one size-4, bound-1 shard needs 13 nodes: the variable alone aborts
+        proc = run_script(
+            "--sizes", "4", "--bound", "1", "--work-limit", "39", cwd=tmp_path,
+            QUIDDITY_WORK_LIMIT="10",
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
 
 
 class TestPricing:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import io
 
 import pytest
 
 from quiddity import (
-    EnumSpec,
     EvenSearchState,
     GeneratorSpec,
     MODE_EQUIV,
@@ -42,18 +42,18 @@ class TestEvenReducibility:
         assert is_evenly_reducible(_q((1, 1, 1, 1, 1, 1)), MODE_EQUIV) is False
 
     def test_size_four_always_irreducible(self):
-        for q in enumerate_quiddities(EnumSpec(Z, 4, 4, canonical_only=True)):
+        for q in enumerate_quiddities(Z, 4, 4, canonical_only=True):
             assert is_evenly_reducible(q, MODE_EQUIV) is False
             assert is_evenly_reducible(q, MODE_STRICT) is False
 
     def test_strict_implies_equivalent(self):
         for n in (6, 8):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
                 if is_evenly_reducible(q, MODE_STRICT):
                     assert is_evenly_reducible(q, MODE_EQUIV)
 
     def test_equiv_mode_is_orbit_invariant(self):
-        for q in enumerate_quiddities(EnumSpec(Z, 6, 2, canonical_only=True)):
+        for q in enumerate_quiddities(Z, 6, 2, canonical_only=True):
             base = is_evenly_reducible(q, MODE_EQUIV)
             for reflected in (False, True):
                 t = q.coeffs[::-1] if reflected else q.coeffs
@@ -65,7 +65,7 @@ class TestEvenReducibility:
         from quiddity.solve import _scan_representative
 
         for n in (6, 8):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
                 hit = _scan_representative(q.coeffs, Z, "even")
                 if hit is None:
                     continue
@@ -78,7 +78,7 @@ class TestEvenReducibility:
         from quiddity.solve import _scan_representative
 
         for n in (6, 8):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
                 literal = _scan_representative(q.coeffs, Z, "even") is not None
                 assert is_evenly_reducible(q, MODE_STRICT) is literal
 
@@ -119,28 +119,28 @@ class TestLinkToGaussianUnits:
 class TestSearch:
     def test_contains_all_ones_at_size_six(self):
         results, state = search_evenly_irreducible(6, 1)
-        coeffs = {q.canonical_coeffs() for q, _ in results}
-        assert Quiddity(Z, (1, 1, 1, 1, 1, 1)).canonical_coeffs() in coeffs
+        coeffs = {q.canonical().coeffs for q, _ in results}
+        assert Quiddity(Z, (1, 1, 1, 1, 1, 1)).canonical().coeffs in coeffs
         assert state.complete
 
     def test_size_four_returns_every_class(self):
         results, _ = search_evenly_irreducible(4, 2)
         got = {q.coeffs for q, _ in results}
         want = {
-            q.coeffs for q in enumerate_quiddities(EnumSpec(Z, 4, 2, canonical_only=True))
+            q.coeffs for q in enumerate_quiddities(Z, 4, 2, canonical_only=True)
         }
         assert got == want
 
     def test_excludes_strictly_reducible_pattern(self):
         results, _ = search_evenly_irreducible(8, 2)
-        target = Quiddity(Z, (1, 2, 1, 2, 1, 2, 1, 2)).canonical_coeffs()
-        assert target not in {q.canonical_coeffs() for q, _ in results}
+        target = Quiddity(Z, (1, 2, 1, 2, 1, 2, 1, 2)).canonical().coeffs
+        assert target not in {q.canonical().coeffs for q, _ in results}
 
     def test_results_match_direct_filter(self):
         results, _ = search_evenly_irreducible(6, 2)
         direct = {
             q.coeffs
-            for q in enumerate_quiddities(EnumSpec(Z, 6, 2, canonical_only=True))
+            for q in enumerate_quiddities(Z, 6, 2, canonical_only=True)
             if not is_evenly_reducible(q, MODE_EQUIV)
         }
         assert {q.coeffs for q, red in results if not red} == direct
@@ -164,7 +164,7 @@ class TestSearch:
         # a shard once held every class containing its coefficient, not only
         # those starting there: a checkpoint from then has shard 0 done and
         # every strictly irreducible class that contains 0 recorded
-        classes = enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))
+        classes = enumerate_quiddities(Z, 8, 2, canonical_only=True)
         found = tuple(sorted(
             (q.coeffs, q.sign, is_evenly_reducible(q, MODE_EQUIV))
             for q in classes
@@ -187,7 +187,7 @@ class TestSearch:
     def test_partial_states_record_the_classes_starting_in_done_shards(self):
         strict_irreducible = {
             q.coeffs
-            for q in enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))
+            for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)
             if not is_evenly_reducible(q, MODE_STRICT)
         }
         shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
@@ -236,34 +236,33 @@ class TestSearch:
 
         monkeypatch.setattr(even, "find_decomposition", counting)
         search_evenly_irreducible(8, 2)
-        classes = [q.coeffs for q in enumerate_quiddities(EnumSpec(Z, 8, 2, canonical_only=True))]
+        classes = [q.coeffs for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)]
         assert sorted(calls) == sorted(classes)
 
     def test_first_coefficient_batches_cover_the_class_set(self):
-        spec = EnumSpec(Z, 8, 2, canonical_only=True)
+        classes = functools.partial(enumerate_quiddities, Z, 8, 2, canonical_only=True)
         union = set()
         for batch in ([-2, 1], [0], [2, -1]):
-            union |= {q.coeffs for q in enumerate_quiddities(spec, firsts=batch)}
-        assert union == {q.coeffs for q in enumerate_quiddities(spec)}
+            union |= {q.coeffs for q in classes(firsts=batch)}
+        assert union == {q.coeffs for q in classes()}
 
     def test_canonical_shards_hold_the_classes_starting_there(self):
-        spec = EnumSpec(Z, 8, 2, canonical_only=True)
-        classes = [q.coeffs for q in enumerate_quiddities(spec)]
+        shard = functools.partial(enumerate_quiddities, Z, 8, 2, canonical_only=True)
+        classes = [q.coeffs for q in shard()]
         for c in range(-2, 3):
-            got = [q.coeffs for q in enumerate_quiddities(spec, firsts=[c])]
+            got = [q.coeffs for q in shard(firsts=[c])]
             assert got == [cc for cc in classes if cc[0] == c]
 
     def test_first_coefficient_batch_preconditions(self):
-        spec = EnumSpec(Z, 6, 2)
         for bad in ([3], [0, 0], [-3, 1]):
             with pytest.raises(ValueError):
-                enumerate_quiddities(spec, firsts=bad)
+                enumerate_quiddities(Z, 6, 2, firsts=bad)
         with pytest.raises(ValueError):
-            enumerate_quiddities(EnumSpec(Z, 2, 2), firsts=[0])
+            enumerate_quiddities(Z, 2, 2, firsts=[0])
         # a size-6, bound-2 shard costs 1+5+25+125 = 156 nodes
-        assert enumerate_quiddities(spec, work_limit=312, firsts=[0, 1]) is not None
+        assert enumerate_quiddities(Z, 6, 2, work_limit=312, firsts=[0, 1]) is not None
         with pytest.raises(WorkLimitExceeded):
-            enumerate_quiddities(spec, work_limit=311, firsts=[0, 1])
+            enumerate_quiddities(Z, 6, 2, work_limit=311, firsts=[0, 1])
 
     def test_resume_chain_with_workers_equals_single_shot(self):
         full, state_full = search_evenly_irreducible(8, 2)

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from quiddity import (
-    EnumSpec,
     GeneratorSpec,
     NotAQuiddityError,
     OddSizeError,
@@ -60,7 +59,7 @@ class TestPhi:
     def test_roundtrip_on_enumerated_sets(self, k):
         gen = GeneratorSpec("isqrt", k)
         for n in (2, 4, 6):
-            for q in enumerate_quiddities(EnumSpec(gen, n, 2)):
+            for q in enumerate_quiddities(gen, n, 2):
                 img = phi(q)
                 assert phi_inverse(img).coeffs == q.coeffs
                 assert img.size == q.size
@@ -79,7 +78,7 @@ class TestPhi:
         for fam in ("sqrt", "isqrt"):
             gen = GeneratorSpec(fam, k)
             for n in (3, 5, 7):
-                assert enumerate_quiddities(EnumSpec(gen, n, 3)) == []
+                assert enumerate_quiddities(gen, n, 3) == []
 
     def test_irreducibility_transport_reports(self):
         skipped, ok, roundtrip = bijection_probe((1, 2), 6, 2)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given
 
 from quiddity import (
-    EnumSpec,
     GeneratorSpec,
     Int,
     Mat2,
@@ -114,12 +113,12 @@ KERNEL_GENERATORS = GENERATORS + [GeneratorSpec.from_string(s) for s in ("z:0", 
 
 class TestEnumerate:
     def test_size_two_over_z(self):
-        found = enumerate_quiddities(EnumSpec(Z, 2, 3))
+        found = enumerate_quiddities(Z, 2, 3)
         assert [q.coeffs for q in found] == [(0, 0)]
         assert found[0].sign == -1
 
     def test_size_four_classes_over_z(self):
-        got = {q.coeffs for q in enumerate_quiddities(EnumSpec(Z, 4, 3, canonical_only=True))}
+        got = {q.coeffs for q in enumerate_quiddities(Z, 4, 3, canonical_only=True)}
         brute = {canonical_coeffs(c, Z) for c, _ in brute_enumerate(Z, 4, 3)}
         assert got == brute
         assert len(got) == 6
@@ -132,7 +131,7 @@ class TestEnumerate:
     def test_imaginary_odd_sizes_empty(self, k):
         gen = GeneratorSpec("isqrt", k)
         for n in (3, 5):
-            assert enumerate_quiddities(EnumSpec(gen, n, 3)) == []
+            assert enumerate_quiddities(gen, n, 3) == []
 
     # one generator per scale branch of the kernel: uniform integer scale
     # (positive, negative, from a square radicand), alternating quadratic
@@ -148,24 +147,24 @@ class TestEnumerate:
     )
     def test_matches_brute_force(self, gen):
         for n in range(2, 6):
-            got = [(q.coeffs, q.sign) for q in enumerate_quiddities(EnumSpec(gen, n, 2))]
+            got = [(q.coeffs, q.sign) for q in enumerate_quiddities(gen, n, 2)]
             order = element_order(gen)
             assert got == sorted(brute_enumerate(gen, n, 2), key=lambda pair: order(pair[0]))
 
     def test_alpha_kronecker_substitution_is_sound(self):
         # every tuple the integer walker accepts at X := M must solve over X
-        found = enumerate_quiddities(EnumSpec(ALPHA, 8, 3))
+        found = enumerate_quiddities(ALPHA, 8, 3)
         assert len(found) == 2765
         for q in found:
             assert q.verify() == q.sign
 
     def test_signs_reverify(self):
-        for q in enumerate_quiddities(EnumSpec(SQRT2, 6, 2)):
+        for q in enumerate_quiddities(SQRT2, 6, 2):
             assert q.verify() == q.sign
 
     def test_worker_count_does_not_change_output(self):
-        serial = enumerate_quiddities(EnumSpec(Z, 5, 2), workers=1)
-        parallel = enumerate_quiddities(EnumSpec(Z, 5, 2), workers=3)
+        serial = enumerate_quiddities(Z, 5, 2, workers=1)
+        parallel = enumerate_quiddities(Z, 5, 2, workers=3)
         assert serial == parallel
 
     def test_pool_never_outgrows_shards_or_cpus(self, monkeypatch):
@@ -185,22 +184,22 @@ class TestEnumerate:
                 return list(map(fn, items))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for cpus, spec, pools in (
-            (4, EnumSpec(Z, 4, 1), [3]),  # 3 shards
-            (4, EnumSpec(Z, 6, 3), [4]),  # 7 shards, 4 CPUs
-            (None, EnumSpec(Z, 6, 3), []),  # CPU count unknown: serial
+        for cpus, space, pools in (
+            (4, (Z, 4, 1), [3]),  # 3 shards
+            (4, (Z, 6, 3), [4]),  # 7 shards, 4 CPUs
+            (None, (Z, 6, 3), []),  # CPU count unknown: serial
         ):
             started.clear()
             monkeypatch.setattr(solve.os, "cpu_count", lambda: cpus)
-            serial = enumerate_quiddities(spec)
-            assert enumerate_quiddities(spec, workers=100_000) == serial
+            serial = enumerate_quiddities(*space)
+            assert enumerate_quiddities(*space, workers=100_000) == serial
             assert started == pools
 
     def test_serial_fan_out_holds_one_shard_at_a_time(self):
         # 40,001 shards of size 3 with two solutions among them
         tracemalloc.start()
         try:
-            found = enumerate_quiddities(EnumSpec(Z, 3, 20_000))
+            found = enumerate_quiddities(Z, 3, 20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,7 +216,7 @@ class TestEnumerate:
 
     def test_work_limit_is_a_precondition(self):
         with pytest.raises(WorkLimitExceeded):
-            enumerate_quiddities(EnumSpec(Z, 8, 4), work_limit=100)
+            enumerate_quiddities(Z, 8, 4, work_limit=100)
 
     def test_predicted_nodes_counts_the_prefix_tree(self):
         for v in range(1, 6):
@@ -239,7 +238,7 @@ class TestEnumerate:
                         assert exact == cost and text == str(cost)
 
     def test_zero_generator_deduplicates_coefficients(self):
-        found = enumerate_quiddities(EnumSpec(GeneratorSpec.from_string("z:0"), 4, 3))
+        found = enumerate_quiddities(GeneratorSpec.from_string("z:0"), 4, 3)
         assert [q.coeffs for q in found] == [(0, 0, 0, 0)]
 
     @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
@@ -254,8 +253,8 @@ class TestEnumerate:
                     for c, eps in grid
                     if max(map(abs, c)) <= bound
                 }
-                spec = EnumSpec(gen, n, bound, canonical_only=True)
-                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(spec)]
+                found = enumerate_quiddities(gen, n, bound, canonical_only=True)
+                got = [(q.coeffs, q.sign) for q in found]
                 assert got == sorted(brute.items(), key=lambda kv: coeff_ranks(kv[0], gen))
 
 
@@ -269,7 +268,7 @@ class TestKernel:
                 want = set()
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
                     want.update(full_walk_shard(gen, n, bound, first))
-                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(EnumSpec(gen, n, bound))]
+                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(gen, n, bound)]
                 assert set(got) == want
                 assert len(got) == len(want)
 
@@ -362,23 +361,23 @@ class TestDecomposition:
     def test_zero_entry_makes_large_tuples_reducible(self):
         for gen in (Z, SQRT2):
             for n in (5, 6):
-                for q in enumerate_quiddities(EnumSpec(gen, n, 2, canonical_only=True)):
+                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
                     if 0 in q.coeffs:
                         assert find_decomposition(q) is not None
 
     def test_witnesses_re_verify(self):
         for gen, parity in product(GENERATORS, ("any", "even")):
             for n in range(4, 7):
-                for q in enumerate_quiddities(EnumSpec(gen, n, 2, canonical_only=True)):
+                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
                     d = find_decomposition(q, parity)
                     if d is None:
                         continue
                     assert sum_oplus(d.left, d.right.coeffs) == d.representative
                     assert d.right.verify() == d.right.sign
-                    assert d.left_size >= 3 and d.right_size >= 3
-                    assert d.left_size + d.right_size - 2 == q.size
+                    assert len(d.left) >= 3 and d.right.size >= 3
+                    assert len(d.left) + d.right.size - 2 == q.size
                     if parity == "even":
-                        assert d.left_size % 2 == 0 and d.right_size % 2 == 0
+                        assert len(d.left) % 2 == 0 and d.right.size % 2 == 0
                     base = q.coeffs[::-1] if d.reflected else q.coeffs
                     rot = d.rotation
                     assert d.representative == base[rot:] + base[:rot]
@@ -388,7 +387,7 @@ class TestDecomposition:
     def test_matches_brute_force_decomposer(self):
         for gen, parity in product(GENERATORS, ("any", "even")):
             for n in range(4, 7):
-                for q in enumerate_quiddities(EnumSpec(gen, n, 1, canonical_only=True)):
+                for q in enumerate_quiddities(gen, n, 1, canonical_only=True):
                     exact = find_decomposition(q, parity)
                     brute = brute_decomposition(q, parity, boundary_bound=4)
                     assert (exact is None) == (brute is None), (gen.to_string(), q.coeffs, parity)
@@ -399,7 +398,7 @@ class TestDecomposition:
         classes = 0
         for gen in GENERATORS + [GeneratorSpec.from_string("z:0")]:
             for n in range(4, 9):
-                for q in enumerate_quiddities(EnumSpec(gen, n, 2, canonical_only=True)):
+                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
                     classes += 1
                     for parity in ("any", "even"):
                         assert find_decomposition(q, parity) == generic_decomposition(q, parity), (
@@ -430,14 +429,14 @@ class TestIrreducibility:
             assert is_irreducible(Quiddity.verified(Z, (0, m, 0, -m))) is True
 
     def test_constant_on_dihedral_orbits(self):
-        for q in enumerate_quiddities(EnumSpec(Z, 5, 2, canonical_only=True)):
+        for q in enumerate_quiddities(Z, 5, 2, canonical_only=True):
             base = is_irreducible(q)
             for rep in _dihedral(q.coeffs):
                 assert is_irreducible(Quiddity(Z, rep, q.sign)) == base
 
     def test_negation_preserves_irreducibility(self):
         for n in range(3, 7):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
                 neg = Quiddity.verified(Z, tuple(-c for c in q.coeffs))
                 assert is_irreducible(q) == is_irreducible(neg)
 
@@ -477,5 +476,5 @@ class TestTwoSmallEntries:
     def test_holds_on_small_enumerations(self):
         for gen in (Z, N, SQRT2, GAUSS, GeneratorSpec.from_string("sqrt:5")):
             for n in range(2, 7):
-                for q in enumerate_quiddities(EnumSpec(gen, n, 2)):
+                for q in enumerate_quiddities(gen, n, 2):
                     assert check_two_small_entries(q) is True

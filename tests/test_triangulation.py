@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from quiddity import (
-    EnumSpec,
     GeneratorSpec,
     Labeling,
     NotAdmissibleError,
@@ -145,14 +144,14 @@ class TestFindLabeling:
         q = Quiddity.verified(Z, (0, m, 0, -m))
         w = find_labeling(q, 4)
         assert w is not None
-        assert quiddity_of_labeling(w).coeffs == q.canonical_coeffs()
+        assert quiddity_of_labeling(w).coeffs == q.canonical().coeffs
 
     def test_every_small_solution_has_witness(self):
         for n in range(3, 6):
-            for q in enumerate_quiddities(EnumSpec(Z, n, 2, canonical_only=True)):
+            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
                 w = find_labeling(q, 4)
                 assert w is not None, q.coeffs
-                assert quiddity_of_labeling(w).coeffs == q.canonical_coeffs()
+                assert quiddity_of_labeling(w).coeffs == q.canonical().coeffs
 
     def test_bound_guards(self):
         q = Quiddity.verified(Z, (1, 1, 1))
