@@ -1,6 +1,6 @@
 """Cyclic tuple algebra: elementary 2x2 factors, ordered products, continuants,
-verification against plus/minus identity, splice sums, dihedral canonical
-forms, and the zero/unit collapse rewrites.
+verification against plus/minus identity, splice sums and dihedral
+canonical forms.
 
 A tuple (a_1, ..., a_n) is verified when M(a_n)*...*M(a_1) = eps*Id with
 M(a) = [[a, -1], [1, 0]]; eps is its sign.  The factor for the last entry
@@ -258,56 +258,3 @@ class Quiddity:
 
     def canonical(self) -> "Quiddity":
         return Quiddity(self.gen, canonical_coeffs(self.coeffs, self.gen), self.sign)
-
-
-def reduce_zero(q: Quiddity, j: int) -> Quiddity:
-    """Collapse (..., a, 0, b, ...) around position j into (..., a+b, ...).
-
-    q must be verified with size >= 4 and a zero entry at j; the result is
-    verified with flipped sign.  The window is rotated interior first and
-    the phase rotated back, which canonical forms make irrelevant.
-    """
-    n = q.size
-    if q.sign is None:
-        raise ValueError("zero collapse needs a verified tuple")
-    if n < 4:
-        raise ValueError("zero collapse needs size >= 4")
-    if not 0 <= j < n:
-        raise IndexError(f"index {j} out of range for size {n}")
-    if not q.gen.embed(q.coeffs[j]).is_zero():
-        raise ValueError(f"entry at index {j} is not zero")
-    rot = (j - 1) % n
-    t = q.coeffs[rot:] + q.coeffs[:rot]
-    merged = (t[0] + t[2],) + t[3:]
-    back = rot % (n - 2)
-    out = merged[-back:] + merged[:-back] if back else merged
-    return Quiddity(q.gen, out, -q.sign)
-
-
-def reduce_unit(entries, j: int):
-    """Remove a +1 or -1 entry, shifting its two cyclic neighbors.
-
-    Returns (tuple, sign_flipped): neighbors are decremented for a +1 entry
-    (sign kept) and incremented for a -1 entry (sign flipped).  The output
-    may leave a subgroup the input lived in, so it is a plain element tuple.
-    """
-    t = tuple(Int(x) if isinstance(x, int) else x for x in entries)
-    n = len(t)
-    if n < 3:
-        raise ValueError("unit collapse needs size >= 3")
-    if not 0 <= j < n:
-        raise IndexError(f"index {j} out of range for size {n}")
-    u = t[j].rational_value()
-    if u not in (1, -1):
-        raise ValueError(f"entry at index {j} is not a unit")
-    rot = (j - 1) % n
-    s = t[rot:] + t[:rot]
-    if u == 1:
-        merged = (s[0] - 1, s[2] - 1) + s[3:]
-        flipped = False
-    else:
-        merged = (s[0] + 1, s[2] + 1) + s[3:]
-        flipped = True
-    back = rot % (n - 2)
-    out = merged[-back:] + merged[:-back] if back else merged
-    return out, flipped

@@ -6,8 +6,10 @@ An even-size verified integer tuple is evenly reducible when it splits as a
 splice sum of two verified tuples of even size at least 4.  Two readings are
 implemented: strict (a literal equality, no dihedral move applied first) and
 up-to-equivalence (any rotation/reflection may be split).  Strict witnesses
-are also up-to-equivalence witnesses; the converse can fail, and search runs
-record such divergences.
+are also up-to-equivalence witnesses; the converse can fail, and strict
+search runs record such divergences.  Over z both readings are decided from
+the continuants of windows (_window_verdicts), and the up-to-equivalence
+search walks only tuples with no adjacent pair that such a window rules out.
 """
 
 from __future__ import annotations
@@ -37,12 +39,68 @@ MODES = (MODE_STRICT, MODE_EQUIV)
 _Z = GeneratorSpec("int", 1)
 
 
-def _even_verdicts(q: Quiddity) -> tuple[bool, bool]:
-    """(strictly reducible, reducible up to equivalence) from one scan.
+def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
+    """(strictly reducible, reducible up to equivalence) of a verified
+    integer tuple t of even size n >= 4 at scale 1, by the window rule.
 
-    Lemma: find_decomposition scans the literal tuple first (rotation 0,
-    unreflected), so it returns a rotation-0, unreflected witness exactly
+    Write K(w) for the continuant of a window w, the upper-left entry of
+    M(w_1)*...*M(w_L): K() = 1, K(a) = a, and K grows at either end by
+    K(w, a) = a*K(w) - K(w minus its last entry).
+
+    Lemma (window rule).  For a representative r of t,
+    _scan_representative with parity even tests each even right-summand
+    size l in [4, n - 2] on the window r[m:], m = n + 2 - l, of even length
+    L = l - 2 in [2, n - 4], and fires exactly when K(r[m:]) = +-1: at
+    scale 1, with no coefficient limit and no sign restriction, _complete
+    then always succeeds, and the left summand, of size m >= 4, verifies by
+    the splice lemma.  So t is strictly reducible iff some suffix window of
+    t of even length in [2, n - 4] has continuant +-1.  find_decomposition
+    runs the scan on every rotation and reflection of t.  The suffixes of
+    the rotations are all the cyclic windows of t, as L <= n - 4 < n, and a
+    reflection reverses a window, which keeps its continuant (with S =
+    diag(1, -1), S*M(a)*S = M(a)^T).  So t is evenly reducible up to
+    equivalence iff some cyclic window of even length in [2, n - 4] has
+    continuant +-1.  At n = 4 the range is empty: both verdicts are False.
+    At L = 2, K(a, b) = a*b - 1, so an evenly irreducible tuple of size >= 6
+    has no entry 0 and no cyclically adjacent pair with product 2
+    (_forbidden_pairs).
+    """
+    n = len(t)
+    # two entries per step: (k_prev, k) becomes (x, b*x - k), x = a*k - k_prev
+    k_prev, k = 0, 1
+    for j in range(n - 1, 3, -2):  # the suffixes t[j-1:], grown leftwards
+        k_prev = t[j] * k - k_prev
+        k = t[j - 1] * k_prev - k
+        if k in (1, -1):
+            return True, True
+    tt = t + t
+    for start in range(n):  # the cyclic windows from start, grown rightwards
+        k_prev, k = 0, 1
+        for j in range(start, start + n - 4, 2):
+            k_prev = tt[j] * k - k_prev
+            k = tt[j + 1] * k_prev - k
+            if k in (1, -1):
+                return False, True
+    return False, False
+
+
+def _forbidden_pairs(bound: int) -> frozenset:
+    """The pairs (a, b) with |a|, |b| <= bound whose window continuant
+    a*b - 1 is +-1, i.e. a*b in {0, 2}: no evenly irreducible tuple of size
+    >= 6 has one cyclically adjacent (the window rule at L = 2)."""
+    values = range(-bound, bound + 1)
+    zero = [(0, c) for c in values] + [(c, 0) for c in values]
+    return frozenset(zero + [(1, 2), (2, 1), (-1, -2), (-2, -1)])
+
+
+def _even_verdicts(q: Quiddity) -> tuple[bool, bool]:
+    """(strictly reducible, reducible up to equivalence) of a verified
+    tuple: by the window rule (_window_verdicts) over z, and otherwise from
+    one scan, as find_decomposition scans the literal tuple first (rotation
+    0, unreflected), so it returns a rotation-0, unreflected witness exactly
     when the literal tuple splits."""
+    if q.gen == _Z:
+        return _window_verdicts(q.coeffs)
     w = find_decomposition(q, parity=PARITY_EVEN)
     return w is not None and w.rotation == 0 and not w.reflected, w is not None
 
@@ -84,12 +142,14 @@ class EvenSearchState:
     Progress is tracked at first-coefficient shard granularity, so merging
     finished shards is associative and order-independent and serialized
     states are byte-stable.  Shard c holds the classes whose least entry,
-    the first of the canonical form, is c.  found keeps every such class of
-    a done shard that is strictly irreducible, together with its
-    up-to-equivalence verdict; the mode only selects which of those count as
-    results.  A state written when a shard held every class containing c
-    records some classes of pending shards too; it resumes to the same
-    result, as a class found twice is recorded once.
+    the first of the canonical form, is c.  found keeps the classes of the
+    done shards that are irreducible in the state's mode, each with its
+    up-to-equivalence verdict (always False up to equivalence).  Earlier
+    up-to-equivalence states kept every strictly irreducible class, flagged
+    ones included; they load as they are, and a resumed search drops the
+    flagged records.  A state written when a shard held every class
+    containing c records some classes of pending shards too; it resumes to
+    the same result, as a class found twice is recorded once.
     """
 
     size: int
@@ -122,7 +182,7 @@ class EvenSearchState:
         whether it lists all of them.  Every record is re-verified: size,
         |c| <= bound, canonical form, sign through is_quiddity, and strict
         irreducibility together with the equiv_reducible flag, recomputed
-        by the one-call decision the search uses (_even_verdicts).  A
+        by the decision the search uses (_even_verdicts).  A
         record deleted from found cannot be detected: its shard stays in
         done, so a resumed sweep never revisits it.
         """
@@ -211,15 +271,24 @@ def search_evenly_irreducible(
 
     Returns (results, final_state).  Shards are swept in ascending order of
     their coefficient c, and shard c yields the classes whose least entry is
-    c (the min-first walk of enumerate_quiddities).  Each class in the
-    affordable shards gets one decomposition scan (_even_verdicts), so
-    strict mode tests the canonical representative; strictly reducible
-    classes are not recorded, and a class already recorded is not scanned
-    again.  When the node budget runs out first, WorkLimitExceeded carries a
-    state that resumes the sweep exactly where it stopped, and its message
-    names the node cost of one shard, the least budget under which a resume
-    makes progress.  results lists (quiddity, equiv_reducible) pairs
-    filtered by mode, sorted; the flag keeps divergent records visible.
+    c (the min-first walk of enumerate_quiddities).  Up to equivalence at
+    size >= 6 the walk leaves out every class with a cyclically adjacent
+    pair of _forbidden_pairs, none of which is evenly irreducible (the
+    window rule, _window_verdicts); the pairs are closed under swapping, so
+    the walk still yields each remaining class once.  Strict mode and size 4
+    walk every class.  Each class walked gets its verdicts from the window
+    rule (_even_verdicts), so strict mode tests the canonical
+    representative.  Strict mode records the strictly irreducible classes
+    with their up-to-equivalence flag; up-to-equivalence mode records the
+    evenly irreducible ones, and drops the flagged records of a checkpoint
+    that recorded every strictly irreducible class.  A class already
+    recorded is not tested again.  When the node budget runs out first,
+    WorkLimitExceeded carries a state that resumes the sweep exactly where
+    it stopped, and its message names the node cost of one shard, the
+    least budget under which a resume makes progress; the budget prices
+    every value, an upper bound on the pruned walk.  results lists
+    (quiddity, equiv_reducible) pairs filtered by mode, sorted; the flag
+    keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
@@ -234,7 +303,9 @@ def search_evenly_irreducible(
         raise ValueError("checkpoint does not match this search")
     shards = 2 * bound + 1
     done = set(state.done) if state else set()
-    records = {cc: (sign, red) for cc, sign, red in state.found} if state else {}
+    strict = mode == MODE_STRICT
+    records = {cc: (sign, red) for cc, sign, red in (state.found if state else ())
+               if strict or not red}
     per_shard, per_shard_text = priced_nodes(1, shards, size - 1)
     affordable = 0 if per_shard is None else max(0, min(shards, work_limit // per_shard))
     pending = (c for c in range(-bound, bound + 1) if c not in done)
@@ -243,13 +314,13 @@ def search_evenly_irreducible(
     if batch:
         found = enumerate_quiddities(
             _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            firsts=batch,
+            firsts=batch, forbidden=() if strict or size < 6 else _forbidden_pairs(bound),
         )
         for q in found:
             if q.coeffs not in records:
-                strict, equiv = _even_verdicts(q)
-                if not strict:
-                    records[q.coeffs] = (q.sign, equiv)
+                split_strict, split_equiv = _even_verdicts(q)
+                if not (split_strict if strict else split_equiv):
+                    records[q.coeffs] = (q.sign, split_equiv)
         done.update(batch)
     found = tuple(sorted((cc, sign, red) for cc, (sign, red) in records.items()))
     final = EvenSearchState(size, bound, mode, tuple(sorted(done)), found, complete=not overflow)
@@ -261,7 +332,7 @@ def search_evenly_irreducible(
         raise WorkLimitExceeded(message, state=final)
     results = sorted(
         ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()
-         if mode == MODE_STRICT or not red),
+         if strict or not red),
         key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # the element order of classes
     )
     return results, final

@@ -17,7 +17,10 @@ is min-first (the shard of first coefficient c walks only coefficients
 ranked at or above c) and keeps a leaf only when it is its own canonical
 form, so each class comes out once, from the shard of its least entry, with
 no dedupe pass (see _run_shard).  Plain enumeration expands each class to
-its dihedral orbit (see _collect).  Prenecklace pruning
+its dihedral orbit (see _collect).  A set of forbidden adjacent pairs,
+closed under swapping, restricts every row of the walk to the values that
+may follow the previous entry, which keeps whole classes (see _run_shard).
+Prenecklace pruning
 (Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left out:
 after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
 Everything the walker emits is a plain Quiddity that re-verifies through the
@@ -193,9 +196,17 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     return kx, ky, eps
 
 
-def _run_shard(gen, n, bound, first):
+def _pair_free(found, forbidden):
+    """The (coeffs, sign) pairs of found with no cyclically adjacent pair in
+    forbidden."""
+    return [(t, eps) for t, eps in found
+            if not any((t[j - 1], t[j]) in forbidden for j in range(len(t)))]
+
+
+def _run_shard(gen, n, bound, first, forbidden=frozenset()):
     """The canonical forms of the classes whose least entry is `first`, each
-    once, with their signs (every class when first is None, used for n = 2).
+    once, with their signs (every class when first is None, used for n = 2),
+    keeping only the classes with no cyclically adjacent pair in forbidden.
 
     One integer walker serves every ring through _position_scales: from the
     fixed first coefficient, positions 1 .. n-5 are walked depth first on
@@ -241,33 +252,55 @@ def _run_shard(gen, n, bound, first):
     first: if rank(t[1]) > rank(t[-1]), the reflection read back from
     position 0, (t[0], t[-1], ...), is smaller than t, so t is not
     canonical.
+
+    Lemma (pair-free space).  Let forbidden be a set of coefficient pairs
+    closed under swapping, and call a tuple pair-free when no cyclically
+    adjacent pair (t[j-1], t[j]), j mod n, lies in it.  A rotation keeps the
+    cyclic adjacencies and a reflection reverses each of them, so the
+    pair-free tuples are a union of dihedral classes.  Each walked entry
+    comes from the row of its predecessor (after), and the leaf tests the
+    solved entry, both completed entries and the wrap-around pair (t[-1],
+    t[0]) the same way, so the walk meets exactly the pair-free tuples that
+    min-first meets.  A pair-free class contains its canonical form, so by
+    the canonical-leaf lemma each pair-free class comes out once and no
+    other class does.  With nothing forbidden every row is the same and the
+    leaf makes no pair test.
     """
     every = _coeff_values(gen, bound)
     if len(every) == 1:  # every entry is 0
-        return [] if n % 2 else [((0,) * n, (-1) ** (n // 2))]
+        return [] if n % 2 else _pair_free([((0,) * n, (-1) ** (n // 2))], forbidden)
     scales = _position_scales(gen, n, bound)
     if scales is None:
         return []
     if n == 2:
-        return [((0, 0), -1)]
+        return _pair_free([((0, 0), -1)], forbidden)
     if n == 3:
         e = first * scales[0]
-        return [((first,) * 3, -e)] if e in (1, -1) else []
+        return _pair_free([((first,) * 3, -e)] if e in (1, -1) else [], forbidden)
     low = coeff_ranks((first,), gen)[0]
     rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low}
     vals = tuple(rank)
-    levels = [[(first, first * scales[0])]]
-    levels += [[(c, c * s) for c in vals] for s in scales[1 : n - 3]]
+    # after[a]: the values that may follow a; levels[d][a]: the (value,
+    # scaled entry) pairs position d walks after a, one shared row when
+    # nothing is forbidden
+    after = {a: {c for c in vals if (a, c) not in forbidden} for a in vals} if forbidden else None
+    levels = [{None: [(first, first * scales[0])]}]
+    for s in scales[1 : n - 3]:
+        row = [(c, c * s) for c in vals]
+        levels.append(
+            {a: [ce for ce in row if ce[0] in after[a]] for a in vals}
+            if forbidden else dict.fromkeys(vals, row)
+        )
     s3, sx, sy = scales[n - 3], scales[n - 2], scales[n - 1]
     found = []
     emit = found.append
 
-    def rec(depth, prefix, p11, p12, p21, p22):
+    def rec(depth, prefix, last, p11, p12, p21, p22):
         if depth < n - 4:
-            for c, e in levels[depth]:
-                rec(depth + 1, prefix + (c,), e * p11 - p21, e * p12 - p22, p11, p12)
+            for c, e in levels[depth][last]:
+                rec(depth + 1, prefix + (c,), c, e * p11 - p21, e * p12 - p22, p11, p12)
             return
-        for c, e in levels[depth]:  # position n-4, then n-3 solved, then completed
+        for c, e in levels[depth][last]:  # position n-4, then n-3 solved, then completed
             q11 = e * p11 - p21
             q12 = e * p12 - p22
             q = q11 * s3
@@ -284,19 +317,21 @@ def _run_shard(gen, n, bound, first):
                 if x % sx or y % sy:
                     continue
                 kx, ky = x // sx, y // sy
-                if c3 in rank and kx in rank and ky in rank:
+                if c3 in rank and kx in rank and ky in rank and (not forbidden or (
+                        c3 in after[c] and kx in after[c3] and ky in after[kx]
+                        and first in after[ky])):
                     t = prefix + (c, c3, kx, ky)
                     if rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t:
                         emit((t, -r11))
 
-    rec(0, (), 1, 0, 0, 1)
+    rec(0, (), None, 1, 0, 0, 1)
     return found
 
 
-def _map_shards(gen, n, bound, shards, workers):
+def _map_shards(gen, n, bound, shards, workers, forbidden=frozenset()):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
     serial path holds one shard's result at a time."""
-    run = functools.partial(_run_shard, gen, n, bound)
+    run = functools.partial(_run_shard, gen, n, bound, forbidden=forbidden)
     # the executor starts all max_workers processes at the first submit
     workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
@@ -337,10 +372,14 @@ def enumerate_quiddities(
     work_limit: int = DEFAULT_WORK_LIMIT,
     workers: int = 1,
     firsts=None,
+    forbidden=frozenset(),
 ):
     """Every verified tuple of the given size over gen with |k_j| <= bound
     (0 <= k_j <= bound for nonneg generators), or with canonical_only one
-    canonical form per dihedral class, deterministically sorted.
+    canonical form per dihedral class, deterministically sorted.  forbidden
+    is a set of coefficient pairs closed under swapping, and the tuples with
+    a cyclically adjacent pair in it are left out, whole classes at a time
+    (the pair-free lemma of _run_shard).
 
     Sharded on the first coefficient (all values, or the distinct ones in
     firsts).  Shard c walks min-first (see _run_shard) and holds exactly the
@@ -350,12 +389,16 @@ def enumerate_quiddities(
     Results are merged and re-sorted, so worker count never changes the
     output.  The work limit prices the full prefix tree
     (predicted_nodes), an upper bound on the nodes walked known up front,
-    which keeps it a hard precondition rather than a mid-flight truncation.
+    which keeps it a hard precondition rather than a mid-flight truncation;
+    it still prices every value, an upper bound on a pair-free walk.
     """
     if size < 2:
         raise ValueError("enumeration needs size >= 2")
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
+    forbidden = frozenset(forbidden)
+    if any((b, a) not in forbidden for a, b in forbidden):
+        raise ValueError("forbidden pairs must be closed under swapping")
     vals = _coeff_values(gen, bound)
     if firsts is None:
         shards, count, levels = ([None] if size == 2 else vals), 1, size
@@ -371,7 +414,7 @@ def enumerate_quiddities(
             f"size {size} is priced at more than 2^{size - 3} nodes; sizes above "
             f"{_MAX_WALK_SIZE} with two or more coefficient values are refused whatever the limit"
         )
-    found = _map_shards(gen, size, bound, shards, workers)
+    found = _map_shards(gen, size, bound, shards, workers, forbidden)
     return _collect(gen, found, canonical_only)
 
 

@@ -238,6 +238,12 @@ _PINNED_DIGESTS = {
         "2a3416ecab16ad5dfb79d33785a78a9f3795853a506a11513870e2c8c35243f7",
     "enumerate --gen z --size 10 --bound 3 --canonical-only":
         "ebb83bab12408384354a237cac4a7212b4e6acc757432b7380137a204e8ecbbf",
+    # the pair-free walk past the default budget: a wider bound, and a size
+    # whose full walk takes seconds
+    "even-search --size 10 --bound 4 --mode up-to-equivalence --work-limit 1000000000":
+        "65ade3e199d60b68c3e8851eb4a50c6a8f1cc14a3bf471dfcc25e9cd4dfbe3a6",
+    "even-search --size 12 --bound 3 --mode up-to-equivalence --work-limit 1000000000":
+        "10d1573805dadabd7cebabdae94718c0c343a407055bb60974fe4da30baddd72",
     # plain enumeration: every tuple of each class's orbit, one scale
     # branch of the kernel each, in both shard orders and three formats
     "enumerate --gen z --size 8 --bound 3 --workers 1":
@@ -584,11 +590,24 @@ class TestConjectureSearchScript:
         assert list(tmp_path.iterdir()) == [ck]  # no evidence line
         assert EvenSearchState.load(str(ck)).done == ()
 
-    def test_malformed_environment_work_limit_is_usage_error_before_any_write(self, tmp_path):
-        proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path, QUIDDITY_WORK_LIMIT="ten")
+    @pytest.mark.parametrize("value", ["ten", "-1", "1e9"])
+    def test_malformed_environment_work_limit_is_usage_error_before_any_write(
+        self, value, tmp_path
+    ):
+        # the script checks the variable itself and names both
+        proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path, QUIDDITY_WORK_LIMIT=value)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "argument --work-limit" in proc.stderr and "Traceback" not in proc.stderr
+        assert f"conjecture_search.py: error: environment variable QUIDDITY_WORK_LIMIT: " \
+            f"expected an integer >= 0, got {value!r}" in proc.stderr
+        assert "even-search" not in proc.stderr and "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_environment_work_limit_is_ignored_under_the_flag(self, tmp_path):
+        # as in the CLI, where an explicit --work-limit never reads the variable
+        proc = run_script("--sizes", "4", "--bound", "1", "--work-limit", "39", cwd=tmp_path,
+                          QUIDDITY_WORK_LIMIT="ten")
+        assert proc.returncode == 0
+        assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
 
     def test_work_limit_flag_overrides_the_environment(self, tmp_path):
         # one size-4, bound-1 shard needs 13 nodes: the variable alone aborts

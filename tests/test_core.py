@@ -26,8 +26,6 @@ from quiddity import (
     is_quiddity,
     mat_of,
     product_matrix,
-    reduce_unit,
-    reduce_zero,
     sum_oplus,
 )
 
@@ -38,6 +36,8 @@ from helpers import (
     element_order,
     gen_pair_embedding,
     pair_sign,
+    reduce_unit,
+    reduce_zero,
 )
 
 Z = GeneratorSpec.from_string("z")

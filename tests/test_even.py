@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 
 import pytest
 
@@ -22,8 +23,20 @@ from quiddity import (
 )
 from quiddity.audits import link_probe
 from quiddity.cli import main
+from quiddity.even import _forbidden_pairs, _window_verdicts
+
+from helpers import generic_decomposition
 
 Z = GeneratorSpec.from_string("z")
+# every even size up to 10 at every bound up to 3, and one wider bound
+EVEN_SPACES = [(n, b) for n in (4, 6, 8, 10) for b in range(4)] + [(8, 4)]
+
+
+def _scan_verdicts(q, decompose=find_decomposition):
+    """(strictly reducible, reducible up to equivalence) read off one
+    decomposition scan, which tries the literal tuple first."""
+    w = decompose(q, parity="even")
+    return w is not None and w.rotation == 0 and not w.reflected, w is not None
 
 
 def _q(coeffs):
@@ -87,6 +100,58 @@ class TestEvenReducibility:
             is_evenly_reducible(_q((1, 1, 1)))
         with pytest.raises(ValueError):
             is_evenly_reducible(_q((0, 0)))
+
+
+class TestWindowRule:
+    """The window verdicts against the decomposition scans they replace."""
+
+    @pytest.mark.parametrize("size, bound", EVEN_SPACES)
+    def test_window_verdicts_equal_both_decomposition_scans(self, size, bound):
+        for q in enumerate_quiddities(Z, size, bound, canonical_only=True):
+            got = _window_verdicts(q.coeffs)
+            assert got == _scan_verdicts(q) == _scan_verdicts(q, generic_decomposition), q.coeffs
+
+    @pytest.mark.parametrize("size", [6, 8])
+    def test_window_verdicts_hold_on_every_representative(self, size):
+        # strict verdicts read the literal tuple, so rotations and reflections differ
+        verdicts = set()
+        for q in enumerate_quiddities(Z, size, 2):
+            got = _window_verdicts(q.coeffs)
+            assert got == _scan_verdicts(q), q.coeffs
+            verdicts.add(got)
+        assert {(True, True), (False, True)} <= verdicts
+
+    def test_size_four_has_no_window(self):
+        assert {_window_verdicts(q.coeffs) for q in enumerate_quiddities(Z, 4, 4)} == {
+            (False, False)
+        }
+
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
+    def test_the_zero_tuple_splits_at_any_size(self, mode):
+        # bound 0 leaves only the zero tuple, whose window (0, 0) has
+        # continuant -1: the pruned walk drops it, the full one rejects it
+        results, state = search_evenly_irreducible(2000, 0, mode)
+        assert results == [] and state.found == () and state.complete
+
+    @pytest.mark.parametrize("bound", range(5))
+    def test_forbidden_pairs_are_the_unit_windows_of_length_two(self, bound):
+        values = range(-bound, bound + 1)
+        got = {(a, b) for a, b in _forbidden_pairs(bound) if abs(a) <= bound and abs(b) <= bound}
+        assert got == {(a, b) for a in values for b in values if a * b - 1 in (1, -1)}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size, bound", EVEN_SPACES)
+    def test_pruned_sweep_equals_the_full_walk_with_the_scan(self, size, bound, workers):
+        classes = enumerate_quiddities(Z, size, bound, canonical_only=True)
+        verdicts = [(q, *_scan_verdicts(q)) for q in classes]
+        want = {
+            MODE_EQUIV: [(q.coeffs, q.sign, False) for q, _, equiv in verdicts if not equiv],
+            MODE_STRICT: [(q.coeffs, q.sign, equiv) for q, strict, equiv in verdicts if not strict],
+        }
+        for mode, expected in want.items():
+            results, state = search_evenly_irreducible(size, bound, mode, workers=workers)
+            assert [(q.coeffs, q.sign, red) for q, red in results] == expected
+            assert sorted(state.found) == sorted(expected)
 
 
 class TestLinkToGaussianUnits:
@@ -184,17 +249,19 @@ class TestSearch:
         _, single = search_evenly_irreducible(8, 2, mode)
         assert path.read_text() == single.to_json()
 
-    def test_partial_states_record_the_classes_starting_in_done_shards(self):
-        strict_irreducible = {
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
+    def test_partial_states_record_the_classes_starting_in_done_shards(self, mode):
+        # the irreducible classes of the state's mode
+        irreducible = {
             q.coeffs
             for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)
-            if not is_evenly_reducible(q, MODE_STRICT)
+            if not is_evenly_reducible(q, mode)
         }
         shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
         state, partials = None, []
         while True:
             try:
-                _, state = search_evenly_irreducible(8, 2, work_limit=shard, state=state)
+                _, state = search_evenly_irreducible(8, 2, mode, work_limit=shard, state=state)
                 break
             except WorkLimitExceeded as exc:
                 state = exc.state
@@ -203,8 +270,34 @@ class TestSearch:
         for partial in partials:
             assert all(cc[0] in partial.done for cc, _, _ in partial.found)
             assert {cc for cc, _, _ in partial.found} == {
-                cc for cc in strict_irreducible if cc[0] in partial.done
+                cc for cc in irreducible if cc[0] in partial.done
             }
+
+    def test_checkpoint_with_flagged_records_resumes_to_the_single_shot_output(self, tmp_path):
+        # an up-to-equivalence checkpoint as a sweep of every class wrote it:
+        # two of seven shards done, each with every strictly irreducible
+        # class starting there, the ones split after a dihedral move flagged
+        done = (-3, 1)
+        found = []
+        for q in enumerate_quiddities(Z, 8, 3, canonical_only=True):
+            strict, equiv = _scan_verdicts(q)
+            if q.coeffs[0] in done and not strict:
+                found.append({"coeffs": list(q.coeffs), "sign": q.sign, "equiv_reducible": equiv})
+        assert any(rec["equiv_reducible"] for rec in found)
+        assert not all(rec["equiv_reducible"] for rec in found)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({
+            "size": 8, "bound": 3, "mode": MODE_EQUIV, "done": list(done),
+            "found": sorted(found, key=lambda rec: rec["coeffs"]), "complete": False,
+        }))
+        argv = ["even-search", "--size", "8", "--bound", "3"]
+        single_out = io.StringIO()
+        assert main(argv, out=single_out) == 0
+        resumed_out = io.StringIO()
+        assert main([*argv, "--checkpoint", str(path)], out=resumed_out) == 0
+        assert resumed_out.getvalue() == single_out.getvalue()
+        _, single = search_evenly_irreducible(8, 3)
+        assert path.read_text() == single.to_json()  # the flagged records are dropped
 
     def test_state_serialization_is_byte_stable(self):
         _, state = search_evenly_irreducible(6, 1)
@@ -225,7 +318,8 @@ class TestSearch:
         with pytest.raises(ValueError, match="does not match"):
             search_evenly_irreducible(6, 1, state=state)
 
-    def test_one_decomposition_call_per_class(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
+    def test_the_search_makes_no_decomposition_scan(self, mode, monkeypatch):
         import quiddity.even as even
 
         calls = []
@@ -235,9 +329,8 @@ class TestSearch:
             return find_decomposition(q, *args, **kwargs)
 
         monkeypatch.setattr(even, "find_decomposition", counting)
-        search_evenly_irreducible(8, 2)
-        classes = [q.coeffs for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)]
-        assert sorted(calls) == sorted(classes)
+        results, _ = search_evenly_irreducible(8, 3, mode)
+        assert results and calls == []
 
     def test_first_coefficient_batches_cover_the_class_set(self):
         classes = functools.partial(enumerate_quiddities, Z, 8, 2, canonical_only=True)

@@ -289,6 +289,42 @@ class TestKernel:
                     assert len(got) == len(set(got))
                     assert all(canonical_coeffs(c, gen) == c for c, _ in got)
 
+    @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
+    def test_pair_free_walk_keeps_exactly_the_pair_free_tuples(self, gen):
+        # closed under swapping, with values forbidden next to themselves and
+        # next to others, so the rows differ with the previous entry
+        forbidden = {(1, 1), (0, 2), (2, 0), (-1, 2), (2, -1), (-2, -2)}
+        for n in range(2, 7 if gen.ring[0] == "poly" else 8):
+            for bound in range(4):
+                tuples = set()
+                for first in [None] if n == 2 else solve._coeff_values(gen, bound):
+                    tuples.update(full_walk_shard(gen, n, bound, first))
+                want = {(c, eps) for c, eps in tuples
+                        if all((c[j - 1], c[j]) not in forbidden for j in range(n))}
+                got = [(q.coeffs, q.sign)
+                       for q in enumerate_quiddities(gen, n, bound, forbidden=forbidden)]
+                assert set(got) == want and len(got) == len(want)
+                classes = [(q.coeffs, q.sign) for q in enumerate_quiddities(
+                    gen, n, bound, canonical_only=True, forbidden=forbidden)]
+                assert set(classes) == {(canonical_coeffs(c, gen), eps) for c, eps in want}
+                assert len(classes) == len(set(classes))
+
+    def test_pair_free_closed_forms_and_preconditions(self):
+        assert enumerate_quiddities(Z, 2000, 0, forbidden={(0, 0)}) == []
+        assert enumerate_quiddities(Z, 2, 3, forbidden={(0, 0)}) == []
+        assert [q.coeffs for q in enumerate_quiddities(Z, 3, 1, forbidden={(1, 1)})] == [
+            (-1, -1, -1)
+        ]
+        with pytest.raises(ValueError, match="closed under swapping"):
+            enumerate_quiddities(Z, 6, 2, forbidden={(1, 2)})
+        forbidden = {(0, c) for c in range(-3, 4)} | {(c, 0) for c in range(-3, 4)}
+        serial, pooled = (
+            enumerate_quiddities(Z, 8, 3, canonical_only=True, workers=w, forbidden=forbidden)
+            for w in (1, 2)
+        )
+        assert serial == pooled and serial
+        assert all(0 not in q.coeffs for q in serial)
+
     @given(
         gen=st.sampled_from([Z, GeneratorSpec.from_string("z:-3"), SQRT2, ALPHA]),
         coeffs=st.lists(st.integers(-2, 2), min_size=2, max_size=7).map(tuple),
