@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class MixedRingError(TypeError):
@@ -273,6 +273,9 @@ class GeneratorSpec:
     family: str
     param: int = 0
     nonneg: bool = False
+    # the concrete ring behind w, derived once from the three fields above
+    # (see _ring); it takes no part in equality or hashing
+    ring: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -281,9 +284,9 @@ class GeneratorSpec:
             raise GeneratorSyntaxError(f"{self.family} generator needs k >= 0")
         if self.family == "alpha" and self.param != 0:
             raise GeneratorSyntaxError("alpha generator takes no parameter")
+        object.__setattr__(self, "ring", self._ring())
 
-    @property
-    def ring(self):
+    def _ring(self):
         """The concrete ring behind w: ("int", s, 1) for w = s,
         ("quad", d, scale) for w = scale*sqrt(d) with d non-square (d < 0
         for imaginary roots), or ("poly", 0, 1) for w = X."""

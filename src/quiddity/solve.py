@@ -20,6 +20,10 @@ no dedupe pass (see _run_shard).  Plain enumeration expands each class to
 its dihedral orbit (see _collect).  A set of forbidden adjacent pairs,
 closed under swapping, restricts every row of the walk to the values that
 may follow the previous entry, which keeps whole classes (see _run_shard).
+Two more lemmas prune the walk: a prefix whose continuant exceeds what its
+complementary window can reach never closes (the frieze cap), and at the
+last walked position at most four entries leave the third-from-last
+solvable (see _run_shard).
 Prenecklace pruning
 (Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left out:
 after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
@@ -157,13 +161,18 @@ def _position_scales(gen: GeneratorSpec, n: int, bound: int):
     otherwise), so the four equalities hold in Z[X] and the tuple solves
     over <X>.  Hence M = 2*(F(n+1)*B'**n + B'**2 + 1) + 1.  The scan's
     windows are shorter; _scan_representative bounds them by M/4.
+
+    Lemma (odd sizes over <X>).  Every pair deletion removes two factors
+    c_j*X, so every monomial of a continuant of L entries c_j*X has degree
+    congruent to L mod 2.  At odd n the full continuant has no constant
+    term and never equals eps, so no tuple solves, as over a quadratic ring.
     """
     kind, p, scale = gen.ring
     if kind == "int":
         return (p,) * n
+    if n % 2:
+        return None
     if kind == "quad":
-        if n % 2:
-            return None
         return (1, p * scale * scale) * (n // 2)
     fib, nxt = 1, 1  # F(1), F(2)
     for _ in range(n):
@@ -225,11 +234,33 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
     = 1 forces p21 = +-1, so p11' = -p21 = +-1 for every e and the level is
     walked in full.  Either way the new p11 is +-1 by construction.
 
+    Lemma (frieze cap).  Write K(w) for the continuant of a window w (K()
+    = 1, K(a) = a).  The product P of the first m scaled entries a_1 ..
+    a_m is [[K(a_1..a_m), -K(a_2..a_m)], [K(a_1..a_(m-1)),
+    -K(a_2..a_(m-1))]], so the walk's p11 is K(a_1..a_m).  For a solution
+    of sign eps, M(a_n)*...*M(a_(m+1)) = eps*P**-1, and the lower-right
+    entries read -K(a_(m+2)..a_(n-1)) = eps*K(a_1..a_m): a prefix's
+    continuant is, up to sign, that of its complementary window of n - m -
+    2 entries (the glide symmetry of frieze patterns, Coxeter 1971).  Every entry of a solution
+    the shard keeps is c*s with c among its values, so |c*s| <= E, the
+    largest such product, and a window of L entries has continuant at most
+    Kmax(L) in modulus: Kmax(0) = 1, Kmax(1) = E and Kmax(L) =
+    E*Kmax(L-1) + Kmax(L-2).  So a walked prefix of m entries with |p11| >
+    Kmax(n - m - 2) never closes, and the walk drops it.
+
+    Lemma (last walked position).  Let P be the product of the first n-4
+    entries, with |p11| >= 2, and q11 = e*p11 - p21 after the entry e = c*s
+    at position n-4.  A completion needs c3*s3*q11 = p11 +- 1 (the
+    closed-form lemma), which is nonzero, so |c*s*p11 - p21| = |q11| <= r =
+    floor((|p11| + 1)/|s3|).  Those c form one interval, found by integer
+    division instead of a row scan, and number at most 2r/|s*p11| + 1 <= 4.
+    With |p11| <= 1 the row is scanned.
+
     Lemma (small and one-value cases).  At n = 2 the product of no entries
     is Id, and the completion gives (0, 0) with sign -1.  At n = 3 it needs
     the single entry e = first*s to be +-1, and then gives back e at both
     ends, so the solution is (first, first, first) with sign -e (an integer
-    generator; quadratic ones have no odd size and M > 1 bars it over <X>).
+    generator; quadratic ones and <X> have no odd size).
     When a position takes one coefficient value (the zero generator, or
     bound 0), every entry is 0, and M(0)**2 = -Id, so the only solutions
     are the zero tuples of even size, with sign (-1)**(n/2); no walk is
@@ -291,16 +322,35 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
             {a: [ce for ce in row if ce[0] in after[a]] for a in vals}
             if forbidden else dict.fromkeys(vals, row)
         )
-    s3, sx, sy = scales[n - 3], scales[n - 2], scales[n - 1]
+    s4, s3, sx, sy = scales[n - 4], scales[n - 3], scales[n - 2], scales[n - 1]
+    # caps[d]: Kmax(n - 3 - d), the largest |p11| after position d that can
+    # close (the frieze-cap lemma)
+    big = max(map(abs, vals)) * max(map(abs, scales))
+    kmax = [1, big]
+    for _ in range(n - 4):
+        kmax.append(big * kmax[-1] + kmax[-2])
+    caps = kmax[:0:-1]
     found = []
     emit = found.append
 
     def rec(depth, prefix, last, p11, p12, p21, p22):
         if depth < n - 4:
+            cap = caps[depth]
             for c, e in levels[depth][last]:
-                rec(depth + 1, prefix + (c,), c, e * p11 - p21, e * p12 - p22, p11, p12)
+                q11 = e * p11 - p21
+                if -cap <= q11 <= cap:
+                    rec(depth + 1, prefix + (c,), c, q11, e * p12 - p22, p11, p12)
             return
-        for c, e in levels[depth][last]:  # position n-4, then n-3 solved, then completed
+        if p11 > 1 or p11 < -1:  # at most four entries (the last-position lemma)
+            r = (abs(p11) + 1) // abs(s3)
+            d, lo, hi = s4 * p11, p21 - r, p21 + r
+            if d < 0:
+                d, lo, hi = -d, -hi, -lo
+            allowed = after[last] if forbidden else rank
+            row = [(c, c * s4) for c in range(-(-lo // d), hi // d + 1) if c in allowed]
+        else:
+            row = levels[depth][last]
+        for c, e in row:  # position n-4, then n-3 solved, then completed
             q11 = e * p11 - p21
             q12 = e * p12 - p22
             q = q11 * s3
@@ -332,8 +382,8 @@ def _map_shards(gen, n, bound, shards, workers, forbidden=frozenset()):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
     serial path holds one shard's result at a time."""
     run = functools.partial(_run_shard, gen, n, bound, forbidden=forbidden)
-    # the executor starts all max_workers processes at the first submit
-    workers = min(workers, len(shards), os.cpu_count() or 1)
+    if workers > 1:  # the executor starts all max_workers processes at the first submit
+        workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
         return [pair for first in shards for pair in run(first)]
     from concurrent.futures import ProcessPoolExecutor  # ~2 MB, 20 ms: only when used
@@ -434,11 +484,13 @@ class Decomposition:
     right: Quiddity
 
 
-def _scan_representative(rep, gen, parity):
+def _scan_representative(rep, gen, parity, scales):
     """First split rep = left (+) right of one fixed representative, as
     (left, right, sign of right), or None.
 
-    Runs on the kernel's integers: rep is scaled by _position_scales, the
+    Runs on the kernel's integers: rep is scaled by scales, the
+    _position_scales of its size and largest |c|, the same for every
+    dihedral image of a tuple, so find_decomposition derives them once; the
     window rep[m:] (m = n + 2 - l) grows by one factor per right size l, and
     the summand rotated to (rep[m:], last, first) is completed by _complete
     with the scales that continue the window's, scales[m] and
@@ -455,9 +507,6 @@ def _scan_representative(rep, gen, parity):
     splice lemma, by which left verifies whenever rep and right do.
     """
     n = len(rep)
-    scales = _position_scales(gen, n, max(map(abs, rep), default=0))
-    if scales is None:
-        return None
     kind = gen.ring[0]
     even_sizes = kind == "quad" or parity == PARITY_EVEN
     limit = scales[0] // 2 if kind == "poly" else math.inf
@@ -490,11 +539,14 @@ def find_decomposition(q: Quiddity, parity: str = PARITY_ANY):
         raise ValueError(f"unknown parity {parity!r}")
     if q.sign is None and q.verify() is None:
         raise NotAQuiddityError("decomposition is defined for verified tuples")
+    scales = _position_scales(q.gen, q.size, max(map(abs, q.coeffs)))
+    if scales is None:
+        return None
     for rotation in range(q.size):
         for reflected in (False, True):
             base = q.coeffs[::-1] if reflected else q.coeffs
             rep = base[rotation:] + base[:rotation]
-            hit = _scan_representative(rep, q.gen, parity)
+            hit = _scan_representative(rep, q.gen, parity, scales)
             if hit is not None:
                 left, right, eps = hit
                 return Decomposition(rotation, reflected, rep, left, Quiddity(q.gen, right, eps))

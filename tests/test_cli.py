@@ -244,6 +244,13 @@ _PINNED_DIGESTS = {
         "65ade3e199d60b68c3e8851eb4a50c6a8f1cc14a3bf471dfcc25e9cd4dfbe3a6",
     "even-search --size 12 --bound 3 --mode up-to-equivalence --work-limit 1000000000":
         "10d1573805dadabd7cebabdae94718c0c343a407055bb60974fe4da30baddd72",
+    # the frieze cap: sizes whose uncapped walk took 6.5 s and 9.0 s in-process
+    "even-search --size 12 --bound 4 --mode up-to-equivalence "
+    "--work-limit 1000000000000 --format jsonl":
+        "e5eee1d506fe15031176d0b7fc9256624efa0b50829a7adb2d46a4e659e0bd02",
+    "even-search --size 14 --bound 3 --mode up-to-equivalence "
+    "--work-limit 1000000000000 --format jsonl":
+        "ecbade6dc6486a880ca24fa8ee6c9ab939b95107237c45c7841ef1672c575f6a",
     # plain enumeration: every tuple of each class's orbit, one scale
     # branch of the kernel each, in both shard orders and three formats
     "enumerate --gen z --size 8 --bound 3 --workers 1":
@@ -721,6 +728,35 @@ _COMMANDS = (
 )
 
 
+# sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, per
+# Python version, as argparse's wording and wrapping differ between them
+_PINNED_HELP = {
+    (3, 11): {
+        "": "72beaee093a001d7af6f412870ddde24c72d239316ff881523bde94ec0b1e322",
+        "--help": "1580a6db239e2d5608c10632ce5de02fd3b3321237a6b5ca12915979dda7f7ee",
+        "nope": "ceff5799c810002779c7c2f409a8dc14d48e3bd6e8265ba88d714d5cda67b052",
+        "verify --help": "02471c894ffb0dedf4ee3c95256bab6c8f55bd54155188406b1c5fcbeed93d05",
+        "verify --no-such-flag": "2d5b0e3e2925bf387d25d90f60effd1286a4af661ef0ad7b717ea05b19ab3acd",
+        "enumerate --help": "7e090bb12cbe2a9f7ecda5bf2340ceea42f49e795ed30ffcbe53433c3628b375",
+        "enumerate --no-such-flag": "bc6edac5bdecafdc6fef7e52b1fb4f6a57b6e04b991270b58ec5aceed0b85443",
+        "classify --help": "2225fec47fcd68ed02ac31128789628fcd1aa0b3535dc6ed59ae7117f31817c3",
+        "classify --no-such-flag": "080e4cfed5ee5eef426bc63d449e331bd7fa69515db49efe7a231a79de26dc09",
+        "decompose --help": "31c85033c7c936c70f6ca5bc8f43fe67d3e1e5ca6fe2fcc09c9389dfa4c92f24",
+        "decompose --no-such-flag": "649abf594300fe6b51ae40ab5cbd1606f554885e9a18291d0f3e3094c178038e",
+        "phi --help": "159bcf740899605978c9fb7b3b544d8239266f014b9f3e10ff873d0ddf70154e",
+        "phi --no-such-flag": "11ee9998db88b8126ffd3c247a8dbc513ed755f4fbfd6b351d13def62eda8974",
+        "rescale --help": "5d57aea310b35b125c24df52ea0b89335080d79052f9ac91c0f183e50cf78b08",
+        "rescale --no-such-flag": "421fc1d5f2877a475925a20570b00959309611c217fdd2a00ef13d636ce0d6ad",
+        "triangulate --help": "ecc93e6677f4b96d79bec2ae34d8d9888973243fe29f7688289592f773498341",
+        "triangulate --no-such-flag": "438314362a69f4b798f7c805faa963efd171517bc2b31e7a64cb7b5e4d90ab67",
+        "even-search --help": "b6793264c556911e966f4d45ec3d5652d5965a1f345e59026845d856a7ae8ecc",
+        "even-search --no-such-flag": "5f10070868ac63589f91ab8dc7c693c93205b1dffc60ea5ff6d5ebef739bb533",
+        "selftest --help": "adb6a2da7f144bb21af63b9eb2f51d23ec72a2cfa1b2405d6b6c0a5f03c50122",
+        "selftest --no-such-flag": "fd8527d04214d0af371e2d66547567e722ce375c1bd2fe26f559cb4e0ebcd712",
+    },
+}
+
+
 class TestLeanParser:
     """main gives arguments only to the subcommand its first word names; its
     help and usage errors must read exactly as the full parser's."""
@@ -744,6 +780,18 @@ class TestLeanParser:
             assert code == 0 and lean.out.startswith(f"usage: {prog} ")
         else:
             assert code == 2 and lean.err
+
+    @pytest.mark.parametrize(
+        "argv", sorted(_PINNED_HELP[(3, 11)]), ids=lambda argv: argv or "(no arguments)"
+    )
+    def test_help_and_usage_text_is_pinned(self, argv, capsys, monkeypatch):
+        pins = _PINNED_HELP.get(sys.version_info[:2])
+        if pins is None:
+            pytest.skip(f"no help digests recorded for Python {sys.version_info[:2]}")
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv.split(), out=io.StringIO())
+        got = capsys.readouterr()
+        assert hashlib.sha256(json.dumps([code, got.out, got.err]).encode()).hexdigest() == pins[argv]
 
     def test_every_subcommand_is_covered(self):
         parser = cli.build_parser()

@@ -75,11 +75,11 @@ class TestEvenReducibility:
                     assert is_evenly_reducible(rep, MODE_EQUIV) == base
 
     def test_strict_witness_splits_into_even_sizes(self):
-        from quiddity.solve import _scan_representative
+        from quiddity.solve import _position_scales, _scan_representative
 
         for n in (6, 8):
             for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
-                hit = _scan_representative(q.coeffs, Z, "even")
+                hit = _scan_representative(q.coeffs, Z, "even", _position_scales(Z, n, 2))
                 if hit is None:
                     continue
                 left, right, _ = hit
@@ -88,11 +88,12 @@ class TestEvenReducibility:
                 assert len(left) + len(right) - 2 == n
 
     def test_strict_verdict_read_off_the_witness_matches_literal_scan(self):
-        from quiddity.solve import _scan_representative
+        from quiddity.solve import _position_scales, _scan_representative
 
         for n in (6, 8):
             for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
-                literal = _scan_representative(q.coeffs, Z, "even") is not None
+                scales = _position_scales(Z, n, 2)
+                literal = _scan_representative(q.coeffs, Z, "even", scales) is not None
                 assert is_evenly_reducible(q, MODE_STRICT) is literal
 
     def test_preconditions(self):

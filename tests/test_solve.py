@@ -24,6 +24,7 @@ from quiddity import (
     WorkLimitExceeded,
     canonical_coeffs,
     classify_irreducibles,
+    continuant_rec,
     enumerate_quiddities,
     find_decomposition,
     is_irreducible,
@@ -33,6 +34,7 @@ from quiddity import (
 from quiddity import solve
 from quiddity.audits import check_two_small_entries
 from quiddity.core import coeff_ranks
+from quiddity.even import _forbidden_pairs
 from quiddity.solve import predicted_nodes, priced_nodes
 
 from helpers import (
@@ -377,6 +379,46 @@ class TestKernel:
                         continue  # no det-1 product has this first column
                     got = third_entries(p11, p21, s, vals)
                     assert list(got) == [c for c in vals if c * s * p11 - p21 in (1, -1)]
+
+
+class TestPruningLemmas:
+    """The lemmas behind the kernel's pruning (_run_shard, _position_scales),
+    through the generic route: continuants of the embedded elements, and the
+    full walk and the exhaustive grid as oracles."""
+
+    @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
+    def test_a_prefix_continuant_is_its_complementary_window(self, gen):
+        # the frieze-cap lemma: K(a_1..a_m) = -eps*K(a_(m+2)..a_(n-1))
+        for n in range(2, 7 if gen.ring[0] == "poly" else 9):
+            for q in enumerate_quiddities(gen, n, 3):
+                a = q.elements()
+                for m in range(1, n - 1):
+                    assert continuant_rec(a[:m]) == -q.sign * continuant_rec(a[m + 1 : n - 1])
+
+    def test_capped_shards_equal_the_full_walk(self):
+        n, bound = 10, 2
+        kmax = [1, bound]
+        while len(kmax) < n - 2:
+            kmax.append(bound * kmax[-1] + kmax[-2])
+        # the cap cuts after 5, 6 and 7 of the 7 walked entries: an
+        # alternating prefix of m entries reaches Kmax(m) > Kmax(n - m - 2)
+        for m in (5, 6, 7):
+            prefix = ((bound, -bound) * n)[:m]
+            assert abs(continuant_rec(prefix).rational_value()) == kmax[m] > kmax[n - m - 2]
+        forbidden = _forbidden_pairs(bound)
+        for first in range(-bound, bound + 1):
+            classes = {(canonical_coeffs(c, Z), eps)
+                       for c, eps in full_walk_shard(Z, n, bound, first) if min(c) >= first}
+            pair_free = {(c, eps) for c, eps in classes
+                         if all((c[j - 1], c[j]) not in forbidden for j in range(n))}
+            assert sorted(solve._run_shard(Z, n, bound, first)) == sorted(classes)
+            assert sorted(solve._run_shard(Z, n, bound, first, forbidden)) == sorted(pair_free)
+
+    def test_odd_sizes_have_no_solution_over_the_formal_symbol(self):
+        # the grid at (7, 2) takes about 25 s, so size 7 stops at bound 1
+        for n, bound in ((3, 2), (5, 2), (7, 1)):
+            assert brute_enumerate(ALPHA, n, bound) == []
+            assert solve._position_scales(ALPHA, n, bound) is None
 
 
 class TestDecomposition:
