@@ -126,7 +126,8 @@ def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
     return strict if mode == MODE_STRICT else equiv
 
 
-_STATE_KEYS = ("size", "bound", "mode", "done", "found", "complete")
+CHECKPOINT_VERSION = 2
+_STATE_KEYS = ("version", "size", "bound", "mode", "done", "found")
 _RECORD_KEYS = ("coeffs", "sign", "equiv_reducible")
 
 
@@ -144,12 +145,8 @@ class EvenSearchState:
     states are byte-stable.  Shard c holds the classes whose least entry,
     the first of the canonical form, is c.  found keeps the classes of the
     done shards that are irreducible in the state's mode, each with its
-    up-to-equivalence verdict (always False up to equivalence).  Earlier
-    up-to-equivalence states kept every strictly irreducible class, flagged
-    ones included; they load as they are, and a resumed search drops the
-    flagged records.  A state written when a shard held every class
-    containing c records some classes of pending shards too; it resumes to
-    the same result, as a class found twice is recorded once.
+    up-to-equivalence verdict (always False up to equivalence).  complete
+    is derived from done; to_json writes format CHECKPOINT_VERSION.
     """
 
     size: int
@@ -157,10 +154,14 @@ class EvenSearchState:
     mode: str
     done: tuple[int, ...]
     found: tuple[tuple[tuple[int, ...], int, bool], ...]  # (coeffs, sign, equiv_reducible)
-    complete: bool = False
+
+    @property
+    def complete(self) -> bool:
+        return len(self.done) == 2 * self.bound + 1
 
     def to_json(self) -> str:
         obj = {
+            "version": CHECKPOINT_VERSION,
             "size": self.size,
             "bound": self.bound,
             "mode": self.mode,
@@ -169,7 +170,6 @@ class EvenSearchState:
                 {"coeffs": list(cc), "sign": sign, "equiv_reducible": red}
                 for cc, sign, red in sorted(self.found)
             ],
-            "complete": self.complete,
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -177,14 +177,16 @@ class EvenSearchState:
     def from_json(cls, text: str) -> "EvenSearchState":
         """Parse a checkpoint without trusting it; ValueError otherwise.
 
-        Every key must be present with its type; done must list distinct
-        first coefficients within [-bound, bound], and complete must say
-        whether it lists all of them.  Every record is re-verified: size,
-        |c| <= bound, canonical form, sign through is_quiddity, and strict
-        irreducibility together with the equiv_reducible flag, recomputed
-        by the decision the search uses (_even_verdicts).  A
-        record deleted from found cannot be detected: its shard stays in
-        done, so a resumed sweep never revisits it.
+        Only version CHECKPOINT_VERSION is read: earlier formats recorded
+        other classes, so their sweeps must be rerun.  Every key must be
+        present with its type; done must list distinct first coefficients
+        within [-bound, bound].  Every record is re-verified: size, |c| <=
+        bound, canonical form, first coefficient in done, sign through
+        is_quiddity, and strict irreducibility together with the
+        equiv_reducible flag, recomputed by the decision the search uses
+        (_even_verdicts) and False up to equivalence.  A record deleted from
+        found cannot be detected: its shard stays in done, so a resumed
+        sweep never revisits it.
         """
         try:
             obj = json.loads(text)
@@ -192,11 +194,15 @@ class EvenSearchState:
             raise ValueError("bad checkpoint: JSON nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad checkpoint: not JSON ({exc})") from None
+        _require(isinstance(obj, dict), "expected a JSON object")
+        version = obj.get("version")
+        what = "an unversioned checkpoint" if version is None else f"version {version!r}"
         _require(
-            isinstance(obj, dict) and sorted(obj) == sorted(_STATE_KEYS),
-            f"expected exactly the keys {list(_STATE_KEYS)}",
+            type(version) is int and version == CHECKPOINT_VERSION,
+            f"{what} is no longer read; rerun the sweep without this file",
         )
-        size, bound, mode, done, found, complete = (obj[k] for k in _STATE_KEYS)
+        _require(sorted(obj) == sorted(_STATE_KEYS), f"expected exactly the keys {list(_STATE_KEYS)}")
+        size, bound, mode, done, found = (obj[k] for k in _STATE_KEYS[1:])
         _require(
             type(size) is int and size >= 4 and size % 2 == 0, "size must be an even integer >= 4"
         )
@@ -207,10 +213,6 @@ class EvenSearchState:
             and all(type(c) is int and abs(c) <= bound for c in done)
             and len(set(done)) == len(done),
             "done must list distinct first coefficients within the bound",
-        )
-        _require(
-            type(complete) is bool and complete == (len(done) == 2 * bound + 1),
-            "complete must be true exactly when done lists every shard",
         )
         _require(isinstance(found, list), "found must be a list")
         records = []
@@ -229,14 +231,16 @@ class EvenSearchState:
             _require(type(sign) is int and type(red) is bool, f"{cc}: sign or flag of wrong type")
             q = Quiddity(_Z, cc, sign)
             _require(q.canonical().coeffs == q.coeffs, f"{cc} is not in canonical form")
+            _require(cc[0] in done, f"{cc} lies in shard {cc[0]}, which is not done")
             _require(q.verify() == sign, f"{cc} does not verify with sign {sign}")
             _require(
                 _even_verdicts(q) == (False, red),
                 f"{cc} is strictly reducible or its equiv_reducible flag is wrong",
             )
+            _require(mode == MODE_STRICT or not red, f"{cc} is evenly reducible up to equivalence")
             records.append((q.coeffs, sign, red))
         _require(len({cc for cc, _, _ in records}) == len(records), "a class is recorded twice")
-        return cls(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)), complete)
+        return cls(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)))
 
     def save(self, path) -> None:
         """Write to_json() to path atomically: a synced temporary file in the
@@ -280,15 +284,15 @@ def search_evenly_irreducible(
     rule (_even_verdicts), so strict mode tests the canonical
     representative.  Strict mode records the strictly irreducible classes
     with their up-to-equivalence flag; up-to-equivalence mode records the
-    evenly irreducible ones, and drops the flagged records of a checkpoint
-    that recorded every strictly irreducible class.  A class already
-    recorded is not tested again.  When the node budget runs out first,
+    evenly irreducible ones.  A resumed state keeps every record in a done
+    shard, so pending shards walk only unrecorded classes, and flags none
+    up to equivalence.  When the node budget runs out first,
     WorkLimitExceeded carries a state that resumes the sweep exactly where
     it stopped, and its message names the node cost of one shard, the
     least budget under which a resume makes progress; the budget prices
-    every value, an upper bound on the pruned walk.  results lists
-    (quiddity, equiv_reducible) pairs filtered by mode, sorted; the flag
-    keeps divergent records visible.
+    every value, an upper bound on the pruned walk.  results lists the
+    recorded (quiddity, equiv_reducible) pairs in the element order of
+    classes; the flag keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
@@ -296,16 +300,16 @@ def search_evenly_irreducible(
         raise ValueError("coefficient bound must be >= 0")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    strict = mode == MODE_STRICT
     if state is not None and (
         (state.size, state.bound, state.mode) != (size, bound, mode)
         or any(abs(c) > bound for c in state.done)
+        or any(cc[0] not in state.done or (red and not strict) for cc, _, red in state.found)
     ):
         raise ValueError("checkpoint does not match this search")
     shards = 2 * bound + 1
     done = set(state.done) if state else set()
-    strict = mode == MODE_STRICT
-    records = {cc: (sign, red) for cc, sign, red in (state.found if state else ())
-               if strict or not red}
+    records = list(state.found) if state else []
     per_shard, per_shard_text = priced_nodes(1, shards, size - 1)
     affordable = 0 if per_shard is None else max(0, min(shards, work_limit // per_shard))
     pending = (c for c in range(-bound, bound + 1) if c not in done)
@@ -317,13 +321,11 @@ def search_evenly_irreducible(
             firsts=batch, forbidden=() if strict or size < 6 else _forbidden_pairs(bound),
         )
         for q in found:
-            if q.coeffs not in records:
-                split_strict, split_equiv = _even_verdicts(q)
-                if not (split_strict if strict else split_equiv):
-                    records[q.coeffs] = (q.sign, split_equiv)
+            split_strict, split_equiv = _even_verdicts(q)
+            if not (split_strict if strict else split_equiv):
+                records.append((q.coeffs, q.sign, split_equiv))
         done.update(batch)
-    found = tuple(sorted((cc, sign, red) for cc, (sign, red) in records.items()))
-    final = EvenSearchState(size, bound, mode, tuple(sorted(done)), found, complete=not overflow)
+    final = EvenSearchState(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)))
     if overflow:
         message = (
             f"{overflow} of {shards} shards still pending; "
@@ -331,8 +333,7 @@ def search_evenly_irreducible(
         )
         raise WorkLimitExceeded(message, state=final)
     results = sorted(
-        ((Quiddity(_Z, cc, sign), red) for cc, (sign, red) in records.items()
-         if strict or not red),
+        ((Quiddity(_Z, cc, sign), red) for cc, sign, red in records),
         key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # the element order of classes
     )
     return results, final

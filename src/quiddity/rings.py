@@ -350,16 +350,14 @@ class GeneratorSpec:
 
     @classmethod
     def from_descriptor(cls, obj) -> "GeneratorSpec":
-        if not isinstance(obj, dict):
-            raise GeneratorSyntaxError(f"bad generator descriptor {obj!r}")
-        kind = obj.get("kind")
-        nonneg = obj.get("sign") == "nonneg"
-        if kind == "int":
-            return cls("int", int(obj.get("s", 1)), nonneg)
-        if kind in ("sqrt", "isqrt"):
-            return cls(kind, int(obj["k"]), nonneg)
-        if kind == "alpha":
-            return cls("alpha", 0, nonneg)
+        """The spec whose descriptor() is obj; GeneratorSyntaxError for
+        anything else (a missing or unknown key, a parameter not an int)."""
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        param = obj.get("s" if kind == "int" else "k", 0) if kind in _FAMILIES else None
+        if type(param) is int:  # a negative k is refused by __post_init__
+            spec = cls(kind, param, obj.get("sign") == "nonneg")
+            if spec.descriptor() == obj:
+                return spec
         raise GeneratorSyntaxError(f"bad generator descriptor {obj!r}")
 
     @classmethod

@@ -41,7 +41,15 @@ _BAD_CHECKPOINTS = {
     "unknown-mode": _with(mode="bogus"),
     "done-duplicate": _with(done=[-1, 0, 0, 1]),
     "done-outside-bound": _with(done=[-1, 0, 1, 2]),
-    "complete-with-shards-pending": _with(done=[-1, 0]),
+    "unversioned": lambda state: {k: v for k, v in state.items() if k != "version"},
+    # complete is derived from done and never stored
+    "complete-with-shards-pending": _with(done=[-1, 1], complete=True),
+    "record-outside-done-shards": _with(done=[-1, 0]),
+    # (0, 1, 1, 2, 1, 1) is strictly irreducible and evenly reducible up to
+    # equivalence; no size-6 class within bound 1 is both
+    "equiv-record-flagged": _with(
+        bound=2, done=[-2, -1, 0, 1, 2], found=[_record([0, 1, 1, 2, 1, 1], 1, True)]
+    ),
     "record-missing-key": _with(found=[{"coeffs": [1, 1, 1, 1, 1, 1], "sign": 1}]),
     "record-wrong-size": _with(found=[_record([9, 9], -1)]),
     "record-outside-bound": _with(found=[_record([1, 1, 1, 1, 1, 9], 1)]),
@@ -438,22 +446,21 @@ class TestEvenSearch:
         coeffs = {tuple(obj["coeffs"]) for obj in lines if obj["type"] == "quiddity"}
         assert (1, 1, 1, 1, 1, 1) in coeffs
 
-    def test_checkpoint_and_resume(self, tmp_path):
-        ck = tmp_path / "state.json"
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("mode", ["strict", "up-to-equivalence"])
+    def test_checkpoint_and_resume(self, mode, workers, tmp_path):
+        ck, single_ck = tmp_path / "state.json", tmp_path / "single.json"
+        args = ("even-search", "--size", "6", "--bound", "2", "--mode", mode, "--workers", workers)
         # per-shard cost for size 6, bound 2 is 156 nodes: afford two shards
-        code, out = run_cli(
-            "even-search", "--size", "6", "--bound", "2",
-            "--checkpoint", str(ck), "--work-limit", "312",
-        )
+        code, out = run_cli(*args, "--checkpoint", str(ck), "--work-limit", "312")
         assert code == 3
         assert ck.exists()
-        code, resumed = run_cli(
-            "even-search", "--size", "6", "--bound", "2", "--checkpoint", str(ck)
-        )
+        code, resumed = run_cli(*args, "--checkpoint", str(ck))
         assert code == 0
-        code, single = run_cli("even-search", "--size", "6", "--bound", "2")
+        code, single = run_cli(*args, "--checkpoint", str(single_ck))
         assert code == 0
         assert resumed == single
+        assert ck.read_bytes() == single_ck.read_bytes()
 
     def test_missing_checkpoint_starts_fresh_and_is_written(self, tmp_path):
         ck = tmp_path / "missing.json"
@@ -465,15 +472,30 @@ class TestEvenSearch:
 
     @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
     def test_untrusted_checkpoint_is_usage_error(self, case, tmp_path, capsys):
-        args = ("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(tmp_path / "s.json"))
+        ck = tmp_path / "s.json"
+        args = ("even-search", "--size", "6", "--bound", "1", "--checkpoint", str(ck))
         assert run_cli(*args)[0] == 0
         capsys.readouterr()
-        state = json.loads((tmp_path / "s.json").read_text())
+        state = json.loads(ck.read_text())
         edit = _BAD_CHECKPOINTS[case]
-        (tmp_path / "s.json").write_text(edit if isinstance(edit, str) else json.dumps(edit(state)))
+        ck.write_text(edit if isinstance(edit, str) else json.dumps(edit(state)))
         code, out = run_cli(*args)
         assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("error:")
+        # refused while loading, not as a mismatch with the search
+        assert capsys.readouterr().err.startswith(f"error: bad checkpoint {str(ck)!r}: ")
+
+    # sha256 of the complete checkpoint file of each mode: a change to the
+    # format changes these bytes, and must bump the version with them
+    @pytest.mark.parametrize("mode, digest", [
+        ("strict", "efa7902e61595f600943723b6a331c8483bd053ccee57db43934456f3f3eeee9"),
+        ("up-to-equivalence", "a1b5a37730a0b4e0159589fbfc92facd6276971e2227e6a7ecd3a1f498386488"),
+    ])
+    def test_checkpoint_bytes_are_pinned(self, mode, digest, tmp_path):
+        ck = tmp_path / "c.json"
+        code, _ = run_cli("even-search", "--size", "8", "--bound", "3", "--mode", mode,
+                          "--checkpoint", str(ck))
+        assert code == 0
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest
 
     def test_negative_bound_is_usage_error(self, capsys):
         code, out = run_cli("even-search", "--size", "6", "--bound", "-1")
@@ -573,6 +595,24 @@ class TestConjectureSearchScript:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [ck] and ck.read_text() == "{"
+
+    def test_unversioned_checkpoint_is_usage_error_and_keeps_the_evidence(self, tmp_path):
+        (tmp_path / "ck").mkdir()
+        args = ("--sizes", "6", "--bound", "1", "--checkpoint-dir", "ck")
+        assert run_script(*args, cwd=tmp_path).returncode == 0
+        evidence = tmp_path / "even_irreducible_evidence.jsonl"
+        before = evidence.read_bytes()
+        ck = Path("ck") / "even_search_n6_b1_up-to-equivalence.json"
+        obj = json.loads((tmp_path / ck).read_text())
+        del obj["version"]
+        (tmp_path / ck).write_text(json.dumps({**obj, "complete": True}))  # the unversioned form
+        proc = run_script(*args, cwd=tmp_path)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(
+            f"error: bad checkpoint {str(ck)!r}: an unversioned checkpoint is no longer read"
+        )
+        assert "Traceback" not in proc.stderr
+        assert evidence.read_bytes() == before
 
     def test_unwritable_evidence_is_usage_error(self, tmp_path):
         (tmp_path / "ev").mkdir()

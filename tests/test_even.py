@@ -45,6 +45,26 @@ def _q(coeffs):
     return q
 
 
+def _unversioned(state):
+    """state as checkpoints were written before the version key: the same
+    fields, with complete stored."""
+    obj = json.loads(state.to_json())
+    del obj["version"]
+    return json.dumps({**obj, "complete": state.complete})
+
+
+def _assert_refused(argv, tmp_path, capsys, text, detail):
+    """even-search argv over a checkpoint holding text exits 2, names the
+    path and detail, prints nothing and leaves the file as it was."""
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    out = io.StringIO()
+    assert main([*argv, "--checkpoint", str(path)], out=out) == 2 and out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad checkpoint {str(path)!r}: ") and detail in err
+    assert path.read_text() == text
+
+
 class TestEvenReducibility:
     def test_worked_examples(self):
         assert is_evenly_reducible(_q((2, 2, 1, 4, 1, 2)), MODE_STRICT) is True
@@ -224,9 +244,7 @@ class TestSearch:
         assert state_resumed.to_json() == state_full.to_json()
 
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
-    def test_checkpoint_of_whole_class_shards_resumes_to_the_single_shot_run(
-        self, mode, tmp_path
-    ):
+    def test_checkpoint_of_whole_class_shards_is_refused(self, mode, tmp_path, capsys):
         # a shard once held every class containing its coefficient, not only
         # those starting there: a checkpoint from then has shard 0 done and
         # every strictly irreducible class that contains 0 recorded
@@ -238,17 +256,11 @@ class TestSearch:
         ))
         assert any(min(cc) < 0 for cc, _, _ in found)  # classes that start below 0
         old = EvenSearchState(8, 2, mode, (0,), found)
-        path = tmp_path / "state.json"
-        path.write_text(old.to_json())
-        assert EvenSearchState.load(path) == old  # a valid checkpoint today
+        with pytest.raises(ValueError, match="does not match"):
+            search_evenly_irreducible(8, 2, mode, state=old)
         argv = ["even-search", "--size", "8", "--bound", "2", "--mode", mode]
-        single_out = io.StringIO()
-        assert main(argv, out=single_out) == 0
-        resumed_out = io.StringIO()
-        assert main([*argv, "--checkpoint", str(path)], out=resumed_out) == 0
-        assert resumed_out.getvalue() == single_out.getvalue()
-        _, single = search_evenly_irreducible(8, 2, mode)
-        assert path.read_text() == single.to_json()
+        _assert_refused(argv, tmp_path, capsys, _unversioned(old), "an unversioned checkpoint")
+        _assert_refused(argv, tmp_path, capsys, old.to_json(), "which is not done")
 
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
     def test_partial_states_record_the_classes_starting_in_done_shards(self, mode):
@@ -274,7 +286,7 @@ class TestSearch:
                 cc for cc in irreducible if cc[0] in partial.done
             }
 
-    def test_checkpoint_with_flagged_records_resumes_to_the_single_shot_output(self, tmp_path):
+    def test_checkpoint_with_flagged_records_is_refused(self, tmp_path, capsys):
         # an up-to-equivalence checkpoint as a sweep of every class wrote it:
         # two of seven shards done, each with every strictly irreducible
         # class starting there, the ones split after a dihedral move flagged
@@ -283,22 +295,20 @@ class TestSearch:
         for q in enumerate_quiddities(Z, 8, 3, canonical_only=True):
             strict, equiv = _scan_verdicts(q)
             if q.coeffs[0] in done and not strict:
-                found.append({"coeffs": list(q.coeffs), "sign": q.sign, "equiv_reducible": equiv})
-        assert any(rec["equiv_reducible"] for rec in found)
-        assert not all(rec["equiv_reducible"] for rec in found)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps({
-            "size": 8, "bound": 3, "mode": MODE_EQUIV, "done": list(done),
-            "found": sorted(found, key=lambda rec: rec["coeffs"]), "complete": False,
-        }))
+                found.append((q.coeffs, q.sign, equiv))
+        assert any(red for _, _, red in found) and not all(red for _, _, red in found)
+        old = EvenSearchState(8, 3, MODE_EQUIV, done, tuple(found))
+        with pytest.raises(ValueError, match="does not match"):
+            search_evenly_irreducible(8, 3, state=old)
         argv = ["even-search", "--size", "8", "--bound", "3"]
-        single_out = io.StringIO()
-        assert main(argv, out=single_out) == 0
-        resumed_out = io.StringIO()
-        assert main([*argv, "--checkpoint", str(path)], out=resumed_out) == 0
-        assert resumed_out.getvalue() == single_out.getvalue()
-        _, single = search_evenly_irreducible(8, 3)
-        assert path.read_text() == single.to_json()  # the flagged records are dropped
+        _assert_refused(argv, tmp_path, capsys, _unversioned(old), "an unversioned checkpoint")
+        _assert_refused(argv, tmp_path, capsys, old.to_json(), "evenly reducible up to equivalence")
+
+    @pytest.mark.parametrize("version", [None, 1, 3, "2", 2.0, True])
+    def test_other_versions_are_refused(self, version):
+        obj = json.loads(search_evenly_irreducible(6, 1)[1].to_json())
+        with pytest.raises(ValueError, match="is no longer read"):
+            EvenSearchState.from_json(json.dumps({**obj, "version": version}))
 
     def test_state_serialization_is_byte_stable(self):
         _, state = search_evenly_irreducible(6, 1)
@@ -315,7 +325,7 @@ class TestSearch:
             EvenSearchState.from_json("[" * 200_000)
 
     def test_shards_outside_the_bound_are_a_mismatch(self):
-        state = EvenSearchState(6, 1, MODE_EQUIV, (-1, 0, 5), (), complete=True)
+        state = EvenSearchState(6, 1, MODE_EQUIV, (-1, 0, 5), ())
         with pytest.raises(ValueError, match="does not match"):
             search_evenly_irreducible(6, 1, state=state)
 
@@ -358,14 +368,16 @@ class TestSearch:
         with pytest.raises(WorkLimitExceeded):
             enumerate_quiddities(Z, 6, 2, work_limit=311, firsts=[0, 1])
 
-    def test_resume_chain_with_workers_equals_single_shot(self):
-        full, state_full = search_evenly_irreducible(8, 2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
+    def test_resume_chain_equals_single_shot(self, mode, workers):
+        full, state_full = search_evenly_irreducible(8, 2, mode)
         shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
         state, steps = None, 0
         while True:
             try:
                 resumed, state = search_evenly_irreducible(
-                    8, 2, work_limit=2 * shard, workers=2, state=state
+                    8, 2, mode, work_limit=2 * shard, workers=workers, state=state
                 )
                 break
             except WorkLimitExceeded as exc:

@@ -206,6 +206,32 @@ class TestGeneratorSpec:
         for gen in GENERATORS:
             assert GeneratorSpec.from_descriptor(gen.descriptor()) == gen
 
+    @pytest.mark.parametrize("obj", [
+        {"kind": "sqrt"},
+        {"kind": "isqrt"},
+        {"kind": "int"},
+        {"kind": "int", "s": 1.9},
+        {"kind": "int", "s": 1.0},
+        {"kind": "int", "s": True},
+        {"kind": "sqrt", "k": "2"},
+        {"kind": "sqrt", "k": -2},
+        {"kind": "int", "s": 1, "sign": "neg"},
+        {"kind": "int", "s": 1, "sign": True},
+        {"kind": "int", "s": 1, "k": 1},
+        {"kind": "alpha", "s": 1},
+        {"kind": "alpha", "k": 0},
+        {"kind": "sqrt", "k": 2, "extra": None},
+        {"kind": "bogus"},
+        {"kind": ["int"], "s": 1},
+        {},
+        [],
+        "z",
+        None,
+    ], ids=repr)
+    def test_descriptor_accepts_only_what_descriptor_writes(self, obj):
+        with pytest.raises(GeneratorSyntaxError):
+            GeneratorSpec.from_descriptor(obj)
+
     def test_bad_generator_strings(self):
         for text in ("q", "sqrt:-2", "sqrt:x", "isqrt", "z:", "alpha:2"):
             with pytest.raises(GeneratorSyntaxError):
