@@ -26,21 +26,6 @@ import sys
 from quiddity import MODE_EQUIV, MODE_STRICT, cli
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
-
-    return parse
-
-
 def _even_sizes(text: str) -> list[int]:
     """argparse type: comma-separated even sizes >= 4."""
     try:
@@ -53,13 +38,14 @@ def _even_sizes(text: str) -> list[int]:
 
 
 def main() -> int:
+    work_limit = cli.int_at_least(0, "work limit")
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=_even_sizes, default="4,6,8", help="comma-separated even sizes")
-    ap.add_argument("--bound", type=_at_least(0), default=2)
+    ap.add_argument("--bound", type=cli.int_at_least(0, "bound"), default=2)
     ap.add_argument("--mode", choices=(MODE_STRICT, MODE_EQUIV), default=MODE_EQUIV)
-    ap.add_argument("--work-limit", type=_at_least(0),
+    ap.add_argument("--work-limit", type=work_limit,
                     help="node budget per size; defaults as for the even-search subcommand")
-    ap.add_argument("--workers", type=_at_least(1), default=1)
+    ap.add_argument("--workers", type=cli.int_at_least(1, "worker count"), default=1)
     ap.add_argument("--evidence", default="even_irreducible_evidence.jsonl")
     ap.add_argument("--checkpoint-dir", default=".")
     args = ap.parse_args()
@@ -68,7 +54,7 @@ def main() -> int:
     env_limit = os.environ.get(cli.WORK_LIMIT_ENV)
     if args.work_limit is None and env_limit:  # the flag wins, as in the CLI
         try:
-            _at_least(0)(env_limit)
+            work_limit(env_limit)
         except argparse.ArgumentTypeError as exc:
             ap.error(f"environment variable {cli.WORK_LIMIT_ENV}: {exc}")
 

@@ -91,10 +91,10 @@ class ProbeResult:
     detail: str = ""
 
 
-def classification_probe(gen_strings, max_size, bound, workers=1):
+def classification_probe(gen_strings, max_size, bound):
     for text in gen_strings:
         gen = GeneratorSpec.from_string(text)
-        got = {q.coeffs for q in classify_irreducibles(gen, max_size, bound, workers=workers)}
+        got = {q.coeffs for q in classify_irreducibles(gen, max_size, bound)}
         want = expected_irreducible_classes(gen, 3, max_size, bound)
         if got != want:
             missing = sorted(want - got)
@@ -123,7 +123,7 @@ def check_two_small_entries(q: Quiddity) -> bool:
     return sum(c * c * norm < 4 for c in q.coeffs) >= 2
 
 
-def small_entries_probe(gen_strings, max_size, bound, workers=1):
+def small_entries_probe(gen_strings, max_size, bound):
     for text in gen_strings:
         gen = GeneratorSpec.from_string(text)
         if not gen.has_modulus():
@@ -131,7 +131,7 @@ def small_entries_probe(gen_strings, max_size, bound, workers=1):
         bad = []
         count = 0
         for n in range(2, max_size + 1):
-            for q in enumerate_quiddities(gen, n, bound, canonical_only=True, workers=workers):
+            for q in enumerate_quiddities(gen, n, bound, canonical_only=True):
                 count += 1
                 if not check_two_small_entries(q):
                     bad.append(q.coeffs)
@@ -142,13 +142,13 @@ def small_entries_probe(gen_strings, max_size, bound, workers=1):
         )
 
 
-def _phi_mismatches(gen, sizes, bound, agree, workers):
+def _phi_mismatches(gen, sizes, bound, agree):
     """Run agree(q, phi(q)) on every canonical tuple over gen of the given
     sizes; return the number checked and a failure detail naming each
     disagreeing `source -> image` pair ("" when they all agree)."""
     checked, bad = 0, []
     for n in sizes:
-        for q in enumerate_quiddities(gen, n, bound, canonical_only=True, workers=workers):
+        for q in enumerate_quiddities(gen, n, bound, canonical_only=True):
             img = phi(q)
             checked += 1
             if not agree(q, img):
@@ -156,7 +156,7 @@ def _phi_mismatches(gen, sizes, bound, agree, workers):
     return checked, ("counterexamples: " + "; ".join(bad) if bad else "")
 
 
-def bijection_probe(ks, max_size, bound, workers=1):
+def bijection_probe(ks, max_size, bound):
     """Irreducibility over <i*sqrt(k)> must match irreducibility of the
     alternating-sign image over <sqrt(k)>, tuple by tuple, and the map must
     round-trip.
@@ -172,12 +172,12 @@ def bijection_probe(ks, max_size, bound, workers=1):
         src = GeneratorSpec("isqrt", k)
         checked, failure = _phi_mismatches(
             src, range(2, max_size + 1), bound,
-            lambda q, img: is_irreducible(q) == is_irreducible(img), workers,
+            lambda q, img: is_irreducible(q) == is_irreducible(img),
         )
         yield ProbeResult(name, not failure, failure or f"ok, checked {checked}")
         bad = []
         for n in range(2, max_size + 1, 2):
-            for q in enumerate_quiddities(src, n, bound, workers=workers):
+            for q in enumerate_quiddities(src, n, bound):
                 if phi_inverse(phi(q)).coeffs != q.coeffs:
                     bad.append(q.coeffs)
         yield ProbeResult(
@@ -185,7 +185,7 @@ def bijection_probe(ks, max_size, bound, workers=1):
         )
 
 
-def link_probe(max_size, bound, workers=1):
+def link_probe(max_size, bound):
     """A tuple over <i> is irreducible exactly when its alternating-sign
     integer image is evenly irreducible.
 
@@ -194,7 +194,7 @@ def link_probe(max_size, bound, workers=1):
     """
     checked, failure = _phi_mismatches(
         GeneratorSpec("isqrt", 1), range(4, max_size + 1), bound,
-        lambda q, img: is_irreducible(q) != is_evenly_reducible(img, MODE_EQUIV), workers,
+        lambda q, img: is_irreducible(q) != is_evenly_reducible(img, MODE_EQUIV),
     )
     yield ProbeResult("even-irreducibility-link", not failure, failure or f"checked {checked}")
 
@@ -256,16 +256,16 @@ QUICK_GENS = ("z", "z+nonneg", "sqrt:0", "sqrt:2", "sqrt:3", "sqrt:5", "isqrt:2"
 FULL_GENS = QUICK_GENS + ("sqrt:1", "sqrt:4", "sqrt:6", "isqrt:3", "isqrt:4", "z:2", "isqrt:2+nonneg")
 
 
-def run_selftest(full: bool = False, workers: int = 1):
+def run_selftest(full: bool = False):
     """The probe battery; returns a list of ProbeResult."""
     max_size, bound = (8, 3) if full else (6, 2)
     gens = FULL_GENS if full else QUICK_GENS
     results: list[ProbeResult] = []
     results += continuant_probe(800 if full else 300)
-    results += list(classification_probe(gens, max_size, bound, workers=workers))
-    results += list(small_entries_probe(gens, max_size, bound, workers=workers))
-    results += list(bijection_probe((1, 2, 3, 5) if full else (1, 2), max_size, bound, workers=workers))
-    results += list(link_probe(max_size, bound, workers=workers))
+    results += list(classification_probe(gens, max_size, bound))
+    results += list(small_entries_probe(gens, max_size, bound))
+    results += list(bijection_probe((1, 2, 3, 5) if full else (1, 2), max_size, bound))
+    results += list(link_probe(max_size, bound))
     results += list(rescale_probe((2, 3) if not full else (2, 3, 5), 6, 2))
     results += even_examples_probe()
     return results

@@ -48,7 +48,7 @@ def _default_work_limit() -> str:
     return os.environ.get(WORK_LIMIT_ENV) or str(DEFAULT_WORK_LIMIT)
 
 
-def _int_at_least(minimum: int, what: str):
+def int_at_least(minimum: int, what: str):
     """argparse type for integers >= minimum; anything else is a usage
     error (exit 2)."""
 
@@ -66,8 +66,8 @@ def _int_at_least(minimum: int, what: str):
     return parse
 
 
-_worker_count = _int_at_least(1, "worker count")
-_work_limit = _int_at_least(0, "work limit")
+_worker_count = int_at_least(1, "worker count")
+_work_limit = int_at_least(0, "work limit")
 
 
 def _parse_tuple_arg(text: str, gen: GeneratorSpec) -> tuple[int, ...]:
@@ -367,7 +367,7 @@ def _cmd_even_search(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
-    results = audits.run_selftest(full=args.full, workers=args.workers)
+    results = audits.run_selftest(full=args.full)
     failed = [r for r in results if not r.ok]
     for r in results:
         mark = "ok" if r.ok else "FAIL"
@@ -459,7 +459,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if p := sub("selftest", "falsification probes and audits", _cmd_selftest):
         p.add_argument("--full", action="store_true")
-        p.add_argument("--workers", type=_worker_count, default=1)
 
     return parser if command is None or subs.choices.get(command) else build_parser()
 

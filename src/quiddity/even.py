@@ -7,8 +7,8 @@ splice sum of two verified tuples of even size at least 4.  Two readings are
 implemented: strict (a literal equality, no dihedral move applied first) and
 up-to-equivalence (any rotation/reflection may be split).  Strict witnesses
 are also up-to-equivalence witnesses; the converse can fail, and strict
-search runs record such divergences.  Over z both readings are decided from
-the continuants of windows (_window_verdicts), and the up-to-equivalence
+search runs record such divergences.  Both readings are decided from the
+continuants of windows alone (_window_verdicts), and the up-to-equivalence
 search walks only tuples with no adjacent pair that such a window rules out.
 """
 
@@ -19,16 +19,14 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import Quiddity, coeff_ranks
+from .core import Quiddity
 from .maps import OddSizeError
 from .rings import GeneratorSpec
 from .solve import (
     DEFAULT_WORK_LIMIT,
     NotAQuiddityError,
-    PARITY_EVEN,
     WorkLimitExceeded,
     enumerate_quiddities,
-    find_decomposition,
     priced_nodes,
 )
 
@@ -63,7 +61,8 @@ def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
     continuant +-1.  At n = 4 the range is empty: both verdicts are False.
     At L = 2, K(a, b) = a*b - 1, so an evenly irreducible tuple of size >= 6
     has no entry 0 and no cyclically adjacent pair with product 2
-    (_forbidden_pairs).
+    (_forbidden_pairs).  Over z:-1 the elements are -t, and negation keeps
+    the continuant of an even-length window, so the rule reads t alike.
     """
     n = len(t)
     # two entries per step: (k_prev, k) becomes (x, b*x - k), x = a*k - k_prev
@@ -93,26 +92,19 @@ def _forbidden_pairs(bound: int) -> frozenset:
     return frozenset(zero + [(1, 2), (2, 1), (-1, -2), (-2, -1)])
 
 
-def _even_verdicts(q: Quiddity) -> tuple[bool, bool]:
-    """(strictly reducible, reducible up to equivalence) of a verified
-    tuple: by the window rule (_window_verdicts) over z, and otherwise from
-    one scan, as find_decomposition scans the literal tuple first (rotation
-    0, unreflected), so it returns a rotation-0, unreflected witness exactly
-    when the literal tuple splits."""
-    if q.gen == _Z:
-        return _window_verdicts(q.coeffs)
-    w = find_decomposition(q, parity=PARITY_EVEN)
-    return w is not None and w.rotation == 0 and not w.reflected, w is not None
-
-
 def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
     """Splice split into two verified even tuples of size >= 4?
 
     strict demands the literal alignment q = left (+) right; the default
     allows any dihedral representative of q to split.  Sizes below 6 can
     never split (the two summand sizes add to size + 2), so every size-4
-    tuple comes out evenly irreducible.
+    tuple comes out evenly irreducible.  q must lie over z, z:-1 or sqrt:1
+    without +nonneg, where the window rule (_window_verdicts) decides both
+    readings; any other generator is a ValueError.
     """
+    if q.gen.ring not in (("int", 1, 1), ("int", -1, 1)) or q.gen.nonneg:
+        gen = q.gen.to_string()
+        raise ValueError(f"even reducibility is decided over z, z:-1 and sqrt:1, not {gen}")
     eps = q.sign if q.sign is not None else q.verify()
     if eps is None:
         raise NotAQuiddityError("even reducibility is defined for verified tuples")
@@ -122,7 +114,7 @@ def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
         raise ValueError("even reducibility concerns sizes >= 4")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    strict, equiv = _even_verdicts(q)
+    strict, equiv = _window_verdicts(q.coeffs)
     return strict if mode == MODE_STRICT else equiv
 
 
@@ -147,6 +139,9 @@ class EvenSearchState:
     done shards that are irreducible in the state's mode, each with its
     up-to-equivalence verdict (always False up to equivalence).  complete
     is derived from done; to_json writes format CHECKPOINT_VERSION.
+    Construction raises ValueError unless done lists distinct shards within
+    [-bound, bound], each record lies in a done shard, none is flagged up
+    to equivalence, and no class is recorded twice.
     """
 
     size: int
@@ -154,6 +149,17 @@ class EvenSearchState:
     mode: str
     done: tuple[int, ...]
     found: tuple[tuple[tuple[int, ...], int, bool], ...]  # (coeffs, sign, equiv_reducible)
+
+    def __post_init__(self):
+        done, strict = set(self.done), self.mode == MODE_STRICT
+        _require(
+            len(done) == len(self.done) and all(abs(c) <= self.bound for c in done),
+            "done must list distinct first coefficients within the bound",
+        )
+        for cc, _, red in self.found:
+            _require(cc[0] in done, f"{cc} lies in shard {cc[0]}, which is not done")
+            _require(strict or not red, f"{cc} is evenly reducible up to equivalence")
+        _require(len({cc for cc, _, _ in self.found}) == len(self.found), "a class is recorded twice")
 
     @property
     def complete(self) -> bool:
@@ -179,12 +185,11 @@ class EvenSearchState:
 
         Only version CHECKPOINT_VERSION is read: earlier formats recorded
         other classes, so their sweeps must be rerun.  Every key must be
-        present with its type; done must list distinct first coefficients
-        within [-bound, bound].  Every record is re-verified: size, |c| <=
-        bound, canonical form, first coefficient in done, sign through
-        is_quiddity, and strict irreducibility together with the
-        equiv_reducible flag, recomputed by the decision the search uses
-        (_even_verdicts) and False up to equivalence.  A record deleted from
+        present with its type.  Every record is re-verified: size, |c| <=
+        bound, canonical form, sign through is_quiddity, and strict
+        irreducibility together with the equiv_reducible flag, recomputed by
+        the decision the search uses (_window_verdicts).  The constructor
+        then checks the invariants across fields.  A record deleted from
         found cannot be detected: its shard stays in done, so a resumed
         sweep never revisits it.
         """
@@ -209,10 +214,8 @@ class EvenSearchState:
         _require(type(bound) is int and bound >= 0, "bound must be an integer >= 0")
         _require(isinstance(mode, str) and mode in MODES, f"mode must be one of {list(MODES)}")
         _require(
-            isinstance(done, list)
-            and all(type(c) is int and abs(c) <= bound for c in done)
-            and len(set(done)) == len(done),
-            "done must list distinct first coefficients within the bound",
+            isinstance(done, list) and all(type(c) is int for c in done),
+            "done must be a list of integers",
         )
         _require(isinstance(found, list), "found must be a list")
         records = []
@@ -231,15 +234,12 @@ class EvenSearchState:
             _require(type(sign) is int and type(red) is bool, f"{cc}: sign or flag of wrong type")
             q = Quiddity(_Z, cc, sign)
             _require(q.canonical().coeffs == q.coeffs, f"{cc} is not in canonical form")
-            _require(cc[0] in done, f"{cc} lies in shard {cc[0]}, which is not done")
             _require(q.verify() == sign, f"{cc} does not verify with sign {sign}")
             _require(
-                _even_verdicts(q) == (False, red),
+                _window_verdicts(q.coeffs) == (False, red),
                 f"{cc} is strictly reducible or its equiv_reducible flag is wrong",
             )
-            _require(mode == MODE_STRICT or not red, f"{cc} is evenly reducible up to equivalence")
             records.append((q.coeffs, sign, red))
-        _require(len({cc for cc, _, _ in records}) == len(records), "a class is recorded twice")
         return cls(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)))
 
     def save(self, path) -> None:
@@ -281,12 +281,12 @@ def search_evenly_irreducible(
     window rule, _window_verdicts); the pairs are closed under swapping, so
     the walk still yields each remaining class once.  Strict mode and size 4
     walk every class.  Each class walked gets its verdicts from the window
-    rule (_even_verdicts), so strict mode tests the canonical
+    rule (_window_verdicts), so strict mode tests the canonical
     representative.  Strict mode records the strictly irreducible classes
     with their up-to-equivalence flag; up-to-equivalence mode records the
-    evenly irreducible ones.  A resumed state keeps every record in a done
-    shard, so pending shards walk only unrecorded classes, and flags none
-    up to equivalence.  When the node budget runs out first,
+    evenly irreducible ones.  A state keeps every record in a done shard
+    (EvenSearchState checks it), so on a resume the pending shards walk only
+    unrecorded classes.  When the node budget runs out first,
     WorkLimitExceeded carries a state that resumes the sweep exactly where
     it stopped, and its message names the node cost of one shard, the
     least budget under which a resume makes progress; the budget prices
@@ -301,11 +301,7 @@ def search_evenly_irreducible(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     strict = mode == MODE_STRICT
-    if state is not None and (
-        (state.size, state.bound, state.mode) != (size, bound, mode)
-        or any(abs(c) > bound for c in state.done)
-        or any(cc[0] not in state.done or (red and not strict) for cc, _, red in state.found)
-    ):
+    if state is not None and (state.size, state.bound, state.mode) != (size, bound, mode):
         raise ValueError("checkpoint does not match this search")
     shards = 2 * bound + 1
     done = set(state.done) if state else set()
@@ -321,7 +317,7 @@ def search_evenly_irreducible(
             firsts=batch, forbidden=() if strict or size < 6 else _forbidden_pairs(bound),
         )
         for q in found:
-            split_strict, split_equiv = _even_verdicts(q)
+            split_strict, split_equiv = _window_verdicts(q.coeffs)
             if not (split_strict if strict else split_equiv):
                 records.append((q.coeffs, q.sign, split_equiv))
         done.update(batch)
@@ -332,8 +328,6 @@ def search_evenly_irreducible(
             f"one shard needs {per_shard_text} nodes (limit {work_limit})"
         )
         raise WorkLimitExceeded(message, state=final)
-    results = sorted(
-        ((Quiddity(_Z, cc, sign), red) for cc, sign, red in records),
-        key=lambda pair: coeff_ranks(pair[0].coeffs, _Z),  # the element order of classes
-    )
+    # over z the element order of classes is the order of their coefficients
+    results = [(Quiddity(_Z, cc, sign), red) for cc, sign, red in final.found]
     return results, final

@@ -645,7 +645,7 @@ class TestConjectureSearchScript:
         proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path, QUIDDITY_WORK_LIMIT=value)
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"conjecture_search.py: error: environment variable QUIDDITY_WORK_LIMIT: " \
-            f"expected an integer >= 0, got {value!r}" in proc.stderr
+            f"work limit must be an integer >= 0, got {value!r}" in proc.stderr
         assert "even-search" not in proc.stderr and "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
@@ -769,30 +769,50 @@ _COMMANDS = (
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, per
-# Python version, as argparse's wording and wrapping differ between them
+# Python version, as argparse's wording and wrapping differ between them:
+# 3.10, 3.11 and 3.12 print the same bytes, and 3.13 differs on the entries
+# it overrides
+_HELP_UP_TO_312 = {
+    "": "72beaee093a001d7af6f412870ddde24c72d239316ff881523bde94ec0b1e322",
+    "--help": "1580a6db239e2d5608c10632ce5de02fd3b3321237a6b5ca12915979dda7f7ee",
+    "nope": "ceff5799c810002779c7c2f409a8dc14d48e3bd6e8265ba88d714d5cda67b052",
+    "verify --help": "02471c894ffb0dedf4ee3c95256bab6c8f55bd54155188406b1c5fcbeed93d05",
+    "verify --no-such-flag": "2d5b0e3e2925bf387d25d90f60effd1286a4af661ef0ad7b717ea05b19ab3acd",
+    "enumerate --help": "7e090bb12cbe2a9f7ecda5bf2340ceea42f49e795ed30ffcbe53433c3628b375",
+    "enumerate --no-such-flag": "bc6edac5bdecafdc6fef7e52b1fb4f6a57b6e04b991270b58ec5aceed0b85443",
+    "classify --help": "2225fec47fcd68ed02ac31128789628fcd1aa0b3535dc6ed59ae7117f31817c3",
+    "classify --no-such-flag": "080e4cfed5ee5eef426bc63d449e331bd7fa69515db49efe7a231a79de26dc09",
+    "decompose --help": "31c85033c7c936c70f6ca5bc8f43fe67d3e1e5ca6fe2fcc09c9389dfa4c92f24",
+    "decompose --no-such-flag": "649abf594300fe6b51ae40ab5cbd1606f554885e9a18291d0f3e3094c178038e",
+    "phi --help": "159bcf740899605978c9fb7b3b544d8239266f014b9f3e10ff873d0ddf70154e",
+    "phi --no-such-flag": "11ee9998db88b8126ffd3c247a8dbc513ed755f4fbfd6b351d13def62eda8974",
+    "rescale --help": "5d57aea310b35b125c24df52ea0b89335080d79052f9ac91c0f183e50cf78b08",
+    "rescale --no-such-flag": "421fc1d5f2877a475925a20570b00959309611c217fdd2a00ef13d636ce0d6ad",
+    "triangulate --help": "ecc93e6677f4b96d79bec2ae34d8d9888973243fe29f7688289592f773498341",
+    "triangulate --no-such-flag": "438314362a69f4b798f7c805faa963efd171517bc2b31e7a64cb7b5e4d90ab67",
+    "even-search --help": "b6793264c556911e966f4d45ec3d5652d5965a1f345e59026845d856a7ae8ecc",
+    "even-search --no-such-flag": "5f10070868ac63589f91ab8dc7c693c93205b1dffc60ea5ff6d5ebef739bb533",
+    "selftest --help": "9f4efab00c8611bce527c5e7c0dde0f3001153cb08678e134dd71ad97052bf48",
+    "selftest --no-such-flag": "fd8527d04214d0af371e2d66547567e722ce375c1bd2fe26f559cb4e0ebcd712",
+}
 _PINNED_HELP = {
-    (3, 11): {
-        "": "72beaee093a001d7af6f412870ddde24c72d239316ff881523bde94ec0b1e322",
-        "--help": "1580a6db239e2d5608c10632ce5de02fd3b3321237a6b5ca12915979dda7f7ee",
-        "nope": "ceff5799c810002779c7c2f409a8dc14d48e3bd6e8265ba88d714d5cda67b052",
-        "verify --help": "02471c894ffb0dedf4ee3c95256bab6c8f55bd54155188406b1c5fcbeed93d05",
-        "verify --no-such-flag": "2d5b0e3e2925bf387d25d90f60effd1286a4af661ef0ad7b717ea05b19ab3acd",
-        "enumerate --help": "7e090bb12cbe2a9f7ecda5bf2340ceea42f49e795ed30ffcbe53433c3628b375",
-        "enumerate --no-such-flag": "bc6edac5bdecafdc6fef7e52b1fb4f6a57b6e04b991270b58ec5aceed0b85443",
-        "classify --help": "2225fec47fcd68ed02ac31128789628fcd1aa0b3535dc6ed59ae7117f31817c3",
-        "classify --no-such-flag": "080e4cfed5ee5eef426bc63d449e331bd7fa69515db49efe7a231a79de26dc09",
-        "decompose --help": "31c85033c7c936c70f6ca5bc8f43fe67d3e1e5ca6fe2fcc09c9389dfa4c92f24",
-        "decompose --no-such-flag": "649abf594300fe6b51ae40ab5cbd1606f554885e9a18291d0f3e3094c178038e",
-        "phi --help": "159bcf740899605978c9fb7b3b544d8239266f014b9f3e10ff873d0ddf70154e",
-        "phi --no-such-flag": "11ee9998db88b8126ffd3c247a8dbc513ed755f4fbfd6b351d13def62eda8974",
-        "rescale --help": "5d57aea310b35b125c24df52ea0b89335080d79052f9ac91c0f183e50cf78b08",
-        "rescale --no-such-flag": "421fc1d5f2877a475925a20570b00959309611c217fdd2a00ef13d636ce0d6ad",
-        "triangulate --help": "ecc93e6677f4b96d79bec2ae34d8d9888973243fe29f7688289592f773498341",
-        "triangulate --no-such-flag": "438314362a69f4b798f7c805faa963efd171517bc2b31e7a64cb7b5e4d90ab67",
-        "even-search --help": "b6793264c556911e966f4d45ec3d5652d5965a1f345e59026845d856a7ae8ecc",
-        "even-search --no-such-flag": "5f10070868ac63589f91ab8dc7c693c93205b1dffc60ea5ff6d5ebef739bb533",
-        "selftest --help": "adb6a2da7f144bb21af63b9eb2f51d23ec72a2cfa1b2405d6b6c0a5f03c50122",
-        "selftest --no-such-flag": "fd8527d04214d0af371e2d66547567e722ce375c1bd2fe26f559cb4e0ebcd712",
+    (3, 10): _HELP_UP_TO_312,
+    (3, 11): _HELP_UP_TO_312,
+    (3, 12): _HELP_UP_TO_312,
+    (3, 13): {
+        **_HELP_UP_TO_312,
+        "": "e4f58fadf700bd29fde460ba4b40c535d9ffbe4d0bb4319f5e21fcf2c364b968",
+        "--help": "fee49264ab24f85b9dd14bee67061ba316f2333d64bc393ba9bcb78a6a13bb3c",
+        "nope": "3c130ebdc6157fb822c8b4ceefcdd488c0fc59a282a2715e58cfea8fd73e3ddc",
+        "verify --help": "fa4cde03899c599ae4e4f0060a287709b830587f5e5424453ed25503322584bd",
+        "verify --no-such-flag": "6d6747e71d477df627c4469545a371b9c930e6b3d0b14bd31270f707043a59fd",
+        "enumerate --help": "327bbe1113e5e22cbcf45c50584f51e79872840fccd1512302fad0f1754150b6",
+        "enumerate --no-such-flag": "530cb28b8f4bbb41b817cff826b8895198a5310868b307740d50ae9c2aacb523",
+        "classify --help": "a0d02ac7c3309a8c7bb527812ac17091e240fd4c6d44746f0c3e36c7d39a78b9",
+        "classify --no-such-flag": "ec5480b34e12df9fd55bf8d80ea32396af9a1e23f80064a3bf115319ec6c6682",
+        "phi --help": "e522f9c557d66b3e190b411b30913d594696103541bfeb889eb901a9d5d6d898",
+        "phi --no-such-flag": "8026cd86f90aba749e38a5d2d233b3593e8118b515b111d1a5f4d4c779c06aec",
+        "selftest --no-such-flag": "76025c9591006dce159fc5c6f67d8a00f6180f7c80eb445c4a43e95a9a4e6401",
     },
 }
 

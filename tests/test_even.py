@@ -23,7 +23,7 @@ from quiddity import (
 )
 from quiddity.audits import link_probe
 from quiddity.cli import main
-from quiddity.even import _forbidden_pairs, _window_verdicts
+from quiddity.even import MODES, _forbidden_pairs, _window_verdicts
 
 from helpers import generic_decomposition
 
@@ -45,12 +45,20 @@ def _q(coeffs):
     return q
 
 
-def _unversioned(state):
-    """state as checkpoints were written before the version key: the same
-    fields, with complete stored."""
-    obj = json.loads(state.to_json())
-    del obj["version"]
-    return json.dumps({**obj, "complete": state.complete})
+def _checkpoints(size, bound, mode, done, found):
+    """(unversioned, current) checkpoint texts of these fields, built as
+    dicts because EvenSearchState refuses a state that breaks its
+    invariants: the form from before the version key, with complete stored,
+    and the same fields as version 2."""
+    obj = {
+        "size": size, "bound": bound, "mode": mode, "done": sorted(done),
+        "found": [
+            {"coeffs": list(cc), "sign": sign, "equiv_reducible": red}
+            for cc, sign, red in sorted(found)
+        ],
+    }
+    unversioned = {**obj, "complete": len(done) == 2 * bound + 1}
+    return json.dumps(unversioned), json.dumps({**obj, "version": 2})
 
 
 def _assert_refused(argv, tmp_path, capsys, text, detail):
@@ -121,6 +129,36 @@ class TestEvenReducibility:
             is_evenly_reducible(_q((1, 1, 1)))
         with pytest.raises(ValueError):
             is_evenly_reducible(_q((0, 0)))
+
+    @pytest.mark.parametrize("gen", ["z:-1", "sqrt:1"])
+    def test_verdicts_equal_the_scan_over_the_other_unit_rings(self, gen):
+        # the decomposition scan once decided these generators; every tuple,
+        # not only canonical ones, as the strict reading sees the alignment
+        gen = GeneratorSpec.from_string(gen)
+        verdicts = set()
+        for n in (4, 6, 8):
+            for q in enumerate_quiddities(gen, n, 2):
+                got = (is_evenly_reducible(q, MODE_STRICT), is_evenly_reducible(q, MODE_EQUIV))
+                assert got == _scan_verdicts(q), q.coeffs
+                verdicts.add(got)
+        assert verdicts == {(False, False), (False, True), (True, True)}
+
+    @pytest.mark.parametrize(
+        "gen, coeffs",
+        [
+            ("sqrt:2", (1, 1, 1, 1)),
+            ("isqrt:2", (1, -1, 1, -1)),
+            ("z:2", (0, 1, 0, -1)),
+            ("z+nonneg", (1, 1, 1, 1, 1, 1)),
+            ("alpha", (0, 1, 0, -1)),
+        ],
+    )
+    def test_other_generators_are_refused(self, gen, coeffs):
+        q = Quiddity.verified(GeneratorSpec.from_string(gen), coeffs)
+        assert q is not None
+        for mode in MODES:
+            with pytest.raises(ValueError, match="decided over z, z:-1 and sqrt:1"):
+                is_evenly_reducible(q, mode)
 
 
 class TestWindowRule:
@@ -255,12 +293,12 @@ class TestSearch:
             if 0 in q.coeffs and not is_evenly_reducible(q, MODE_STRICT)
         ))
         assert any(min(cc) < 0 for cc, _, _ in found)  # classes that start below 0
-        old = EvenSearchState(8, 2, mode, (0,), found)
-        with pytest.raises(ValueError, match="does not match"):
-            search_evenly_irreducible(8, 2, mode, state=old)
+        with pytest.raises(ValueError, match="which is not done"):
+            EvenSearchState(8, 2, mode, (0,), found)
+        unversioned, current = _checkpoints(8, 2, mode, (0,), found)
         argv = ["even-search", "--size", "8", "--bound", "2", "--mode", mode]
-        _assert_refused(argv, tmp_path, capsys, _unversioned(old), "an unversioned checkpoint")
-        _assert_refused(argv, tmp_path, capsys, old.to_json(), "which is not done")
+        _assert_refused(argv, tmp_path, capsys, unversioned, "an unversioned checkpoint")
+        _assert_refused(argv, tmp_path, capsys, current, "which is not done")
 
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
     def test_partial_states_record_the_classes_starting_in_done_shards(self, mode):
@@ -297,18 +335,35 @@ class TestSearch:
             if q.coeffs[0] in done and not strict:
                 found.append((q.coeffs, q.sign, equiv))
         assert any(red for _, _, red in found) and not all(red for _, _, red in found)
-        old = EvenSearchState(8, 3, MODE_EQUIV, done, tuple(found))
-        with pytest.raises(ValueError, match="does not match"):
-            search_evenly_irreducible(8, 3, state=old)
+        with pytest.raises(ValueError, match="evenly reducible up to equivalence"):
+            EvenSearchState(8, 3, MODE_EQUIV, done, tuple(found))
+        unversioned, current = _checkpoints(8, 3, MODE_EQUIV, done, found)
         argv = ["even-search", "--size", "8", "--bound", "3"]
-        _assert_refused(argv, tmp_path, capsys, _unversioned(old), "an unversioned checkpoint")
-        _assert_refused(argv, tmp_path, capsys, old.to_json(), "evenly reducible up to equivalence")
+        _assert_refused(argv, tmp_path, capsys, unversioned, "an unversioned checkpoint")
+        _assert_refused(argv, tmp_path, capsys, current, "evenly reducible up to equivalence")
 
     @pytest.mark.parametrize("version", [None, 1, 3, "2", 2.0, True])
     def test_other_versions_are_refused(self, version):
         obj = json.loads(search_evenly_irreducible(6, 1)[1].to_json())
         with pytest.raises(ValueError, match="is no longer read"):
             EvenSearchState.from_json(json.dumps({**obj, "version": version}))
+
+    @pytest.mark.parametrize(
+        "bound, mode, done, found, detail",
+        [
+            (1, MODE_EQUIV, (0, 0), (), "distinct first coefficients"),
+            (1, MODE_EQUIV, (-2, -1, 0, 1), (), "within the bound"),
+            (1, MODE_STRICT, (-1, 0), (((1,) * 6, 1, False),), "which is not done"),
+            (2, MODE_EQUIV, (-2, -1, 0, 1, 2), (((0, 1, 1, 2, 1, 1), 1, True),),
+             "evenly reducible up to equivalence"),
+            (1, MODE_EQUIV, (-1, 0, 1), (((1,) * 6, 1, False),) * 2, "recorded twice"),
+        ],
+        ids=["done-duplicate", "done-outside-bound", "record-outside-done", "equiv-flagged",
+             "class-twice"],
+    )
+    def test_a_state_that_breaks_an_invariant_is_refused(self, bound, mode, done, found, detail):
+        with pytest.raises(ValueError, match=detail):
+            EvenSearchState(6, bound, mode, done, found)
 
     def test_state_serialization_is_byte_stable(self):
         _, state = search_evenly_irreducible(6, 1)
@@ -324,23 +379,29 @@ class TestSearch:
         with pytest.raises(ValueError, match="nested too deeply"):
             EvenSearchState.from_json("[" * 200_000)
 
-    def test_shards_outside_the_bound_are_a_mismatch(self):
-        state = EvenSearchState(6, 1, MODE_EQUIV, (-1, 0, 5), ())
-        with pytest.raises(ValueError, match="does not match"):
-            search_evenly_irreducible(6, 1, state=state)
+    def test_shards_outside_the_bound_are_a_mismatch(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="within the bound"):
+            EvenSearchState(6, 1, MODE_EQUIV, (-1, 0, 5), ())
+        _, current = _checkpoints(6, 1, MODE_EQUIV, (-1, 0, 5), ())
+        argv = ["even-search", "--size", "6", "--bound", "1"]
+        _assert_refused(argv, tmp_path, capsys, current, "within the bound")
 
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
     def test_the_search_makes_no_decomposition_scan(self, mode, monkeypatch):
         import quiddity.even as even
+        import quiddity.solve as solve
 
+        assert not hasattr(even, "find_decomposition")
         calls = []
 
         def counting(q, *args, **kwargs):
             calls.append(q.coeffs)
             return find_decomposition(q, *args, **kwargs)
 
-        monkeypatch.setattr(even, "find_decomposition", counting)
-        results, _ = search_evenly_irreducible(8, 3, mode)
+        monkeypatch.setattr(solve, "find_decomposition", counting)
+        results, state = search_evenly_irreducible(8, 3, mode)
+        assert EvenSearchState.from_json(state.to_json()) == state
+        assert not any(is_evenly_reducible(q, mode) for q, _ in results)
         assert results and calls == []
 
     def test_first_coefficient_batches_cover_the_class_set(self):
