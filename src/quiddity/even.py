@@ -24,10 +24,12 @@ from .maps import OddSizeError
 from .rings import GeneratorSpec
 from .solve import (
     DEFAULT_WORK_LIMIT,
+    PARITY_EVEN,
     NotAQuiddityError,
     WorkLimitExceeded,
     enumerate_quiddities,
     priced_nodes,
+    reducing_pairs,
 )
 
 MODE_STRICT = "strict"
@@ -61,8 +63,9 @@ def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
     continuant +-1.  At n = 4 the range is empty: both verdicts are False.
     At L = 2, K(a, b) = a*b - 1, so an evenly irreducible tuple of size >= 6
     has no entry 0 and no cyclically adjacent pair with product 2
-    (_forbidden_pairs).  Over z:-1 the elements are -t, and negation keeps
-    the continuant of an even-length window, so the rule reads t alike.
+    (solve.reducing_pairs with parity even).  Over z:-1 the elements are
+    -t, and negation keeps the continuant of an even-length window, so the
+    rule reads t alike.
     """
     n = len(t)
     # two entries per step: (k_prev, k) becomes (x, b*x - k), x = a*k - k_prev
@@ -81,15 +84,6 @@ def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
             if k in (1, -1):
                 return False, True
     return False, False
-
-
-def _forbidden_pairs(bound: int) -> frozenset:
-    """The pairs (a, b) with |a|, |b| <= bound whose window continuant
-    a*b - 1 is +-1, i.e. a*b in {0, 2}: no evenly irreducible tuple of size
-    >= 6 has one cyclically adjacent (the window rule at L = 2)."""
-    values = range(-bound, bound + 1)
-    zero = [(0, c) for c in values] + [(c, 0) for c in values]
-    return frozenset(zero + [(1, 2), (2, 1), (-1, -2), (-2, -1)])
 
 
 def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
@@ -277,12 +271,12 @@ def search_evenly_irreducible(
     their coefficient c, and shard c yields the classes whose least entry is
     c (the min-first walk of enumerate_quiddities).  Up to equivalence at
     size >= 6 the walk leaves out every class with a cyclically adjacent
-    pair of _forbidden_pairs, none of which is evenly irreducible (the
-    window rule, _window_verdicts); the pairs are closed under swapping, so
-    the walk still yields each remaining class once.  Strict mode and size 4
-    walk every class.  Each class walked gets its verdicts from the window
-    rule (_window_verdicts), so strict mode tests the canonical
-    representative.  Strict mode records the strictly irreducible classes
+    pair of reducing_pairs(z, size, bound, "even"), none of which is evenly
+    irreducible (the window rule, _window_verdicts); the pairs are closed
+    under swapping, so the walk still yields each remaining class once.
+    Strict mode and size 4 walk every class.  Each class walked gets its
+    verdicts from the window rule (_window_verdicts), so strict mode tests
+    the canonical representative.  Strict mode records the strictly irreducible classes
     with their up-to-equivalence flag; up-to-equivalence mode records the
     evenly irreducible ones.  A state keeps every record in a done shard
     (EvenSearchState checks it), so on a resume the pending shards walk only
@@ -314,7 +308,8 @@ def search_evenly_irreducible(
     if batch:
         found = enumerate_quiddities(
             _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            firsts=batch, forbidden=() if strict or size < 6 else _forbidden_pairs(bound),
+            firsts=batch,
+            forbidden=() if strict else reducing_pairs(_Z, size, bound, PARITY_EVEN),
         )
         for q in found:
             split_strict, split_equiv = _window_verdicts(q.coeffs)

@@ -38,6 +38,11 @@ forced by the window's matrix product.  Enumerating candidate summands
 instead could never terminate over an infinite subgroup.  The scan runs on
 the walker's scaled integers and closed-form completion; the generic
 RingElem/Mat2 route serves only verification and the test suite's oracles.
+The scan's shortest windows give a rule that needs no scan at all: a class
+with a cyclically adjacent pair (c1, c2) whose scaled window of two has
+continuant +-1, i.e. c1*c2 times the pair's scale product in {0, 2}, or
+over <+-1> an entry +-1, is reducible (see reducing_pairs).  Classification
+and even-search walk only the classes free of such pairs, and scan those.
 """
 
 from __future__ import annotations
@@ -566,6 +571,54 @@ def is_irreducible(q: Quiddity) -> bool:
     return find_decomposition(q) is None
 
 
+def reducing_pairs(gen: GeneratorSpec, size: int, bound: int, parity: str) -> frozenset:
+    """The coefficient pairs, closed under swapping, whose cyclic adjacency
+    makes a verified size-`size` tuple over gen with |c| <= bound reducible:
+    find_decomposition(q, parity) finds a witness for every such tuple.
+
+    Lemma (pairs).  Rotate the pair (c1, c2) to the last two positions m =
+    n - 2 and n - 1.  _scan_representative meets the window rep[m:] of
+    length L = 2 at right size l = 4; m is even whenever n is, so quadratic
+    generators and parity even test it too.  With a = c1*s_m and b =
+    c2*s_(m+1) the scaled entries, the window's continuant is K(a, b) = ab -
+    1, which is +-1 exactly when c1*c2*sigma is 0 or 2, where sigma =
+    s_m*s_(m+1) is the pair's scale product (_position_scales): p**2 for
+    <p>, D = p*scale**2 for a quadratic ring, M**2 for <X>, where only
+    c1*c2 = 0 qualifies.  _complete then gives the boundary values -eps*a
+    and -eps*b, which the scales of their own positions divide back to
+    -eps*c1 and -eps*c2, with |c| <= bound < M/2 below the limit of <X>,
+    and the left summand verifies by the splice lemma.  Both summands need
+    size >= 3 (size >= 4 for parity even), so this needs n >= 5 for parity
+    any and an even n >= 6 for parity even (the scan skips windows that
+    start at an odd position otherwise).
+
+    Lemma (single entries).  The window of length L = 1 at m = n - 1 (right
+    size 3, parity any) is one entry e = c*s with K(e) = e, and fires when e
+    = +-1, which happens only over <+-1>; the completion gives c at both
+    ends.  A tuple holding c is then reducible whatever its neighbours, so
+    the rule adds (c, x) and (x, c) for every x.  This needs n >= 4.
+
+    +nonneg generators get no pairs: the completion can leave the left
+    summand a negative boundary entry, which the scan refuses.  Sizes with
+    no solutions (odd n over a quadratic ring or <X>) get none either.
+    """
+    if parity not in (PARITY_ANY, PARITY_EVEN):
+        raise ValueError(f"unknown parity {parity!r}")
+    scales = _position_scales(gen, size, bound)
+    if gen.nonneg or scales is None:
+        return frozenset()
+    values = _coeff_values(gen, bound)
+    pairs = set()
+    if size >= 5 and parity == PARITY_ANY or size >= 6 and size % 2 == 0:
+        sigma = scales[-2] * scales[-1]
+        pairs.update((a, b) for a in values for b in values if a * b * sigma in (0, 2))
+    if size >= 4 and parity == PARITY_ANY and gen.ring[0] == "int":
+        for c in values:
+            if c * scales[-1] in (1, -1):
+                pairs.update(pair for x in values for pair in ((c, x), (x, c)))
+    return frozenset(pairs)
+
+
 def classify_irreducibles(
     gen: GeneratorSpec,
     max_size: int,
@@ -574,11 +627,20 @@ def classify_irreducibles(
     work_limit: int = DEFAULT_WORK_LIMIT,
     workers: int = 1,
 ):
-    """Canonical irreducible tuples for every size in [min_size, max_size]."""
+    """Canonical irreducible tuples for every size in [min_size, max_size].
+
+    Each size walks only the classes with no cyclically adjacent pair of
+    reducing_pairs, each of which find_decomposition splits (its lemmas),
+    so the walk leaves out reducible classes only, whole classes at a time
+    (the pair-free lemma of _run_shard); every class walked is then
+    decided by is_irreducible.  The work limit still prices the full
+    prefix tree.
+    """
     out = []
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
         found = enumerate_quiddities(
-            gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers
+            gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers,
+            forbidden=reducing_pairs(gen, n, bound, PARITY_ANY),
         )
         out += [q for q in found if is_irreducible(q)]
     return out

@@ -259,6 +259,14 @@ _PINNED_DIGESTS = {
     "even-search --size 14 --bound 3 --mode up-to-equivalence "
     "--work-limit 1000000000000 --format jsonl":
         "ecbade6dc6486a880ca24fa8ee6c9ab939b95107237c45c7841ef1672c575f6a",
+    # the reducing-pair walk of classify: sizes and bounds whose unpruned
+    # walk scanned every reducible class (45 classes over <i>)
+    "classify --gen isqrt:1 --max-size 10 --bound 3":
+        "7455f484257f1296c925b2714f269b70cbda5d4d15d246e79bc2022220381f54",
+    "classify --gen z --max-size 9 --bound 4":
+        "0e667661836f1f035dba43a70b157decae0a90a4620c0d9aeff8fa334c2ca2ab",
+    "classify --gen alpha --max-size 8 --bound 4":
+        "9086c8b0ac832089b7ff4d667f8ec013028dc5ba4d5d4d16f53db07885e2c2e5",
     # plain enumeration: every tuple of each class's orbit, one scale
     # branch of the kernel each, in both shard orders and three formats
     "enumerate --gen z --size 8 --bound 3 --workers 1":

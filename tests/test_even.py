@@ -23,7 +23,8 @@ from quiddity import (
 )
 from quiddity.audits import link_probe
 from quiddity.cli import main
-from quiddity.even import MODES, _forbidden_pairs, _window_verdicts
+from quiddity.even import MODES, _window_verdicts
+from quiddity.solve import reducing_pairs
 
 from helpers import generic_decomposition
 
@@ -195,7 +196,8 @@ class TestWindowRule:
     @pytest.mark.parametrize("bound", range(5))
     def test_forbidden_pairs_are_the_unit_windows_of_length_two(self, bound):
         values = range(-bound, bound + 1)
-        got = {(a, b) for a, b in _forbidden_pairs(bound) if abs(a) <= bound and abs(b) <= bound}
+        pairs = reducing_pairs(Z, 8, bound, "even")
+        got = {(a, b) for a, b in pairs if abs(a) <= bound and abs(b) <= bound}
         assert got == {(a, b) for a in values for b in values if a * b - 1 in (1, -1)}
 
     @pytest.mark.parametrize("workers", [1, 2])

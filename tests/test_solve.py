@@ -34,8 +34,7 @@ from quiddity import (
 from quiddity import solve
 from quiddity.audits import check_two_small_entries
 from quiddity.core import coeff_ranks
-from quiddity.even import _forbidden_pairs
-from quiddity.solve import predicted_nodes, priced_nodes
+from quiddity.solve import predicted_nodes, priced_nodes, reducing_pairs
 
 from helpers import (
     GENERATORS,
@@ -405,7 +404,7 @@ class TestPruningLemmas:
         for m in (5, 6, 7):
             prefix = ((bound, -bound) * n)[:m]
             assert abs(continuant_rec(prefix).rational_value()) == kmax[m] > kmax[n - m - 2]
-        forbidden = _forbidden_pairs(bound)
+        forbidden = reducing_pairs(Z, n, bound, "even")
         for first in range(-bound, bound + 1):
             classes = {(canonical_coeffs(c, Z), eps)
                        for c, eps in full_walk_shard(Z, n, bound, first) if min(c) >= first}
@@ -529,6 +528,58 @@ class TestIrreducibility:
         got = {q.coeffs for q in classify_irreducibles(gen, 6, 2)}
         want = {canonical_coeffs((0, a, 0, -a), gen) for a in range(-2, 3)}
         assert got == want
+
+
+# the generators of the reducing-pair lemmas: each ring kind, both signs of
+# <+-1>, a scaled and the zero integer generator, and +nonneg with no pairs
+REDUCING_GENERATORS = [
+    GeneratorSpec.from_string(s)
+    for s in ("z", "z:-1", "z:2", "z:0", "z+nonneg", "sqrt:1", "sqrt:2", "sqrt:3",
+              "isqrt:1", "isqrt:2", "isqrt:4", "alpha", "sqrt:2+nonneg")
+]
+REDUCING_SPACES = [(n, b) for b in (1, 2) for n in range(3, 10)] + [(n, 3) for n in range(3, 9)]
+
+
+class TestReducingPairs:
+    """reducing_pairs against the scan it stands for: every class holding a
+    pair has a witness, and the pair-free classify walk finds exactly the
+    irreducible classes of the unpruned one."""
+
+    @pytest.mark.parametrize("gen", REDUCING_GENERATORS, ids=lambda g: g.to_string())
+    def test_pruned_classify_equals_the_unpruned_walk_with_the_scan(self, gen):
+        for n, bound in REDUCING_SPACES:
+            classes = enumerate_quiddities(gen, n, bound, canonical_only=True)
+            want = [q for q in classes if is_irreducible(q)]
+            assert classify_irreducibles(gen, n, bound, min_size=n) == want, (n, bound)
+            for parity in ("any", "even"):
+                pairs = reducing_pairs(gen, n, bound, parity)
+                assert all((b, a) in pairs for a, b in pairs)
+                for q in classes:
+                    t = q.coeffs
+                    if any((t[j - 1], t[j]) in pairs for j in range(n)):
+                        assert find_decomposition(q, parity) is not None, (n, bound, parity, t)
+
+    def test_pairs_by_ring(self):
+        def pairs(spec, n, bound=2, parity="any"):
+            return reducing_pairs(GeneratorSpec.from_string(spec), n, bound, parity)
+
+        zero = {(0, c) for c in range(-2, 3)} | {(c, 0) for c in range(-2, 3)}
+        units = {(u, c) for u in (1, -1) for c in range(-2, 3)}
+        units |= {(b, a) for a, b in units}
+        assert pairs("z", 4) == pairs("z:-1", 4) == units
+        assert pairs("z", 5) == units | zero | {(1, 2), (2, 1), (-1, -2), (-2, -1)}
+        assert pairs("z", 6, parity="even") == zero | {(1, 2), (2, 1), (-1, -2), (-2, -1)}
+        assert pairs("z", 5, parity="even") == pairs("z", 4, parity="even") == frozenset()
+        assert pairs("z:2", 5) == pairs("sqrt:3", 6) == pairs("isqrt:4", 6) == zero
+        assert pairs("alpha", 6) == zero and pairs("alpha", 5) == frozenset()
+        assert pairs("sqrt:2", 6) == zero | {(1, 1), (-1, -1)}
+        assert pairs("isqrt:2", 6) == zero | {(1, -1), (-1, 1)}
+        assert pairs("isqrt:1", 6) == zero | {(1, -2), (-2, 1), (-1, 2), (2, -1)}
+        assert pairs("z:0", 5) == {(0, 0)}
+        assert pairs("sqrt:2", 5) == pairs("sqrt:2", 4) == frozenset()
+        assert pairs("z+nonneg", 8) == pairs("isqrt:1+nonneg", 8) == frozenset()
+        with pytest.raises(ValueError, match="parity"):
+            pairs("z", 6, parity="odd")
 
 
 class TestTwoSmallEntries:
