@@ -383,18 +383,68 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
     return found
 
 
+def _walk_stripe(send, run, stripe):
+    """A pool worker's body: the results of its stripe of shards, sent back
+    as one list over its own one-way pipe."""
+    send.send([run(first) for first in stripe])
+
+
 def _map_shards(gen, n, bound, shards, workers, forbidden=frozenset()):
     """Every shard's (coeffs, sign) pairs in shard order, flattened; the
-    serial path holds one shard's result at a time."""
+    serial path holds one shard's result at a time.
+
+    With W = min(workers, shards, CPUs) > 1 walkers, the parent is one of
+    them: it starts W - 1 worker processes, and worker w walks stripe w and
+    sends back its list of shard results over its own one-way pipe, while
+    the parent walks stripe 0.  Stripe w takes one shard from each block of
+    W consecutive shards, the shards i with owner(i) = w, where
+    owner(i) = min(i % 2W, 2W - 1 - i % 2W): i % W in even blocks and
+    W - 1 - i % W in odd ones.  Lemma (merge): shard i is item i // W of
+    stripe owner(i), since every stripe lists its shards in block order, so
+    reading i = 0, 1, ... back restores shard order and the output does not
+    depend on W.  Lemma (balance): when shard costs do not grow along the
+    shards, as in a min-first walk over z, every stripe costs at most the
+    sum of its blocks' first shards, the cost of stripe 0 of the plain
+    stripes shards[w::W].  A worker that exits without sending or with a
+    nonzero exit code raises RuntimeError, and no partial list is returned;
+    whatever raises, every worker is terminated and joined first.
+    """
     run = functools.partial(_run_shard, gen, n, bound, forbidden=forbidden)
-    if workers > 1:  # the executor starts all max_workers processes at the first submit
+    if workers > 1:
         workers = min(workers, len(shards), os.cpu_count() or 1)
     if workers <= 1:
         return [pair for first in shards for pair in run(first)]
-    from concurrent.futures import ProcessPoolExecutor  # ~2 MB, 20 ms: only when used
+    import multiprocessing  # only when a pool is started: it costs an import
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [pair for chunk in pool.map(run, shards) for pair in chunk]
+    period = 2 * workers
+    owner = [min(i % period, period - 1 - i % period) for i in range(len(shards))]
+    stripes = [[c for c, o in zip(shards, owner) if o == w] for w in range(workers)]
+    procs = []
+    try:
+        for w in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_walk_stripe, args=(send, run, stripes[w]), daemon=True)
+            proc.start()
+            send.close()  # the worker holds the only write end: its exit reads as EOF
+            procs.append((proc, recv))
+        results = [[run(first) for first in stripes[0]]]
+        for proc, recv in procs:
+            try:
+                stripe = recv.recv()
+            except EOFError:
+                stripe = None
+            proc.join()
+            if stripe is None or proc.exitcode:
+                raise RuntimeError(f"a shard worker failed (exit code {proc.exitcode})")
+            results.append(stripe)
+    finally:
+        for proc, recv in procs:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return [pair for i, o in enumerate(owner) for pair in results[o][i // workers]]
 
 
 def _collect(gen, found, canonical_only):

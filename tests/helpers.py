@@ -187,6 +187,25 @@ def brute_enumerate(gen, n, bound):
     return out
 
 
+_RUN_SHARD, _WALK_STRIPE = solve._run_shard, solve._walk_stripe
+
+
+def shard_raising_at(bad, gen, n, bound, first, forbidden=frozenset()):
+    """solve._run_shard, except that shard bad raises ArithmeticError: bound
+    with functools.partial, it stands in for a shard that fails inside one
+    walker of a pool (module level, so every start method can pickle it)."""
+    if first == bad:
+        raise ArithmeticError(f"shard {bad}")
+    return _RUN_SHARD(gen, n, bound, first, forbidden)
+
+
+def walk_stripe_then_exit(send, run, stripe):
+    """solve._walk_stripe, then exit code 3: a worker that sends its results
+    and still fails."""
+    _WALK_STRIPE(send, run, stripe)
+    os._exit(3)
+
+
 def full_walk_shard(gen, n, bound, first):
     """solve._run_shard walking every one of the first n-2 levels in full,
     the third-from-last included: the oracle for its closed-form entry."""

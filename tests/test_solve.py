@@ -3,8 +3,9 @@ and the two-small-entries probe, each against an exhaustive oracle."""
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -50,8 +51,10 @@ from helpers import (
     generic_decomposition,
     kernel_tail,
     prefix_matrix,
+    shard_raising_at,
     solve_tail2,
     third_entries,
+    walk_stripe_then_exit,
 )
 
 Z = GeneratorSpec.from_string("z")
@@ -171,21 +174,31 @@ class TestEnumerate:
     def test_pool_never_outgrows_shards_or_cpus(self, monkeypatch):
         started = []
 
-        class RecordingPool:  # records its size and maps in-process: starts no process
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        class LocalPipe(list):  # both ends of an in-process one-way pipe
+            send = list.append
 
-            def __enter__(self):
-                return self
+            def recv(self):
+                return self.pop(0)
 
-            def __exit__(self, *exc):
-                return False
+            def close(self):
+                pass
 
-            def map(self, fn, items):
-                return list(map(fn, items))
+        class LocalProcess:  # walks its stripe in-process at start: starts no process
+            exitcode = 0
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for cpus, space, pools in (
+            def __init__(self, target, args, daemon):
+                self.walk = functools.partial(target, *args)
+
+            def start(self):
+                started.append(self)
+                self.walk()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pipe", lambda duplex: 2 * (LocalPipe(),))
+        monkeypatch.setattr(multiprocessing, "Process", LocalProcess)
+        for cpus, space, walkers in (
             (4, (Z, 4, 1), [3]),  # 3 shards
             (4, (Z, 6, 3), [4]),  # 7 shards, 4 CPUs
             (None, (Z, 6, 3), []),  # CPU count unknown: serial
@@ -194,7 +207,51 @@ class TestEnumerate:
             monkeypatch.setattr(solve.os, "cpu_count", lambda: cpus)
             serial = enumerate_quiddities(*space)
             assert enumerate_quiddities(*space, workers=100_000) == serial
-            assert started == pools
+            # the parent walks stripe 0 itself, so it counts as one walker
+            assert ([len(started) + 1] if started else []) == walkers
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_pooled_output_equals_serial(self, monkeypatch, workers):
+        monkeypatch.setattr(solve.os, "cpu_count", lambda: 4)
+        vals = [0, -1, 1, -2, 2, -3, 3]
+        for count in (workers - 1, workers, workers + 3):  # fewer, as many and more shards
+            firsts = vals[:count]
+            # the kernel's pairs in shard order, before _collect sorts them
+            assert solve._map_shards(Z, 6, 3, firsts, workers) == solve._map_shards(Z, 6, 3, firsts, 1)
+            for canonical_only in (False, True):
+                serial = enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only)
+                assert enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only,
+                                            workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("name, stand_in, error", [
+        # with two walkers shard -3 is the parent's (stripe 0) and shard -2 the worker's
+        ("_run_shard", functools.partial(shard_raising_at, -3), ArithmeticError),
+        ("_run_shard", functools.partial(shard_raising_at, -2), RuntimeError),
+        ("_walk_stripe", walk_stripe_then_exit, RuntimeError),  # fails after it sent
+    ])
+    def test_a_failing_walker_raises_and_leaves_no_process(self, monkeypatch, name, stand_in, error):
+        monkeypatch.setattr(solve.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(solve, name, stand_in)
+        with pytest.raises(error):
+            enumerate_quiddities(Z, 6, 3, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_under_the_spawn_start_method(self):
+        # the start method of macOS and Windows: the walkers import quiddity afresh
+        code = (
+            "import multiprocessing, os\n"
+            "from quiddity import GeneratorSpec, enumerate_quiddities\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    os.cpu_count = lambda: 3\n"
+            "    z = GeneratorSpec.from_string('z')\n"
+            "    pooled = enumerate_quiddities(z, 6, 2, workers=3)\n"
+            "    print(pooled == enumerate_quiddities(z, 6, 2), len(pooled), multiprocessing.active_children())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env(), check=True)
+        assert out.stdout.split()[0] == "True" and out.stdout.split()[2] == "[]"
 
     def test_serial_fan_out_holds_one_shard_at_a_time(self):
         # 40,001 shards of size 3 with two solutions among them
@@ -208,12 +265,21 @@ class TestEnumerate:
         assert peak < 1_000_000
 
     def test_import_loads_no_pool_machinery(self):
-        # only a run that starts a pool pays for concurrent.futures and multiprocessing
-        code = ("import sys, quiddity.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        # only a run that starts a pool pays for multiprocessing, and none
+        # loads concurrent.futures
+        code = (
+            "import os, sys, quiddity.cli\n"
+            "from quiddity import GeneratorSpec, enumerate_quiddities\n"
+            "def loaded(top):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+            "print(loaded('concurrent') + loaded('multiprocessing'))\n"
+            "os.cpu_count = lambda: 2\n"
+            "enumerate_quiddities(GeneratorSpec.from_string('z'), 5, 2, workers=2)\n"
+            "print(loaded('concurrent'), 'multiprocessing' in sys.modules)\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=child_env(), check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == ["[]", "[] True"]
 
     def test_work_limit_is_a_precondition(self):
         with pytest.raises(WorkLimitExceeded):
