@@ -7,12 +7,11 @@ repeated runs at larger sizes or bounds extend the record.  Each size is one
 `quiddity even-search --checkpoint FILE` run, which resumes from its own FILE
 when it exists, so a rerun over a complete checkpoint sweeps nothing and
 appends that size's record again.  Without --work-limit each run takes the
-subcommand's default budget, QUIDDITY_WORK_LIMIT when it is set; the script
-checks that variable itself before the first size and exits 2 when it is not
-an integer >= 0.  The first nonzero CLI exit code stops the sweep and is
-returned: 3 for a work-limit abort (checkpoint saved, rerun to continue), 2
-for a bad path or checkpoint, before any sweep.  An evidence file that
-cannot be written exits 2 as well.
+subcommand's default budget, QUIDDITY_WORK_LIMIT when it is set.  The first
+nonzero CLI exit code stops the sweep and is returned: 3 for a work-limit
+abort (checkpoint saved, rerun to continue), 2 for a bad path, checkpoint or
+QUIDDITY_WORK_LIMIT, before any sweep.  An evidence file that cannot be
+written exits 2 as well.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ def _even_sizes(text: str) -> list[int]:
 
 
 def main() -> int:
-    work_limit = cli.int_at_least(0, "work limit")
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=_even_sizes, default="4,6,8", help="comma-separated even sizes")
     ap.add_argument("--bound", type=cli.int_at_least(0, "bound"), default=2)
     ap.add_argument("--mode", choices=(MODE_STRICT, MODE_EQUIV), default=MODE_EQUIV)
-    ap.add_argument("--work-limit", type=work_limit,
+    ap.add_argument("--work-limit", type=cli.int_at_least(0, "work limit"),
                     help="node budget per size; defaults as for the even-search subcommand")
     ap.add_argument("--workers", type=cli.int_at_least(1, "worker count"), default=1)
     ap.add_argument("--evidence", default="even_irreducible_evidence.jsonl")
@@ -51,12 +49,6 @@ def main() -> int:
     args = ap.parse_args()
     if not os.path.isdir(os.path.dirname(args.evidence) or "."):
         ap.error(f"the directory of --evidence {args.evidence!r} does not exist")
-    env_limit = os.environ.get(cli.WORK_LIMIT_ENV)
-    if args.work_limit is None and env_limit:  # the flag wins, as in the CLI
-        try:
-            work_limit(env_limit)
-        except argparse.ArgumentTypeError as exc:
-            ap.error(f"environment variable {cli.WORK_LIMIT_ENV}: {exc}")
 
     for n in args.sizes:
         ck_path = os.path.join(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import Quiddity
 from .maps import OddSizeError
@@ -28,7 +27,6 @@ from .solve import (
     NotAQuiddityError,
     WorkLimitExceeded,
     enumerate_quiddities,
-    priced_nodes,
     reducing_pairs,
 )
 
@@ -267,26 +265,22 @@ def search_evenly_irreducible(
 ):
     """All canonical evenly irreducible integer tuples of one even size.
 
-    Returns (results, final_state).  Shards are swept in ascending order of
-    their coefficient c, and shard c yields the classes whose least entry is
-    c (the min-first walk of enumerate_quiddities).  Up to equivalence at
-    size >= 6 the walk leaves out every class with a cyclically adjacent
-    pair of reducing_pairs(z, size, bound, "even"), none of which is evenly
-    irreducible (the window rule, _window_verdicts); the pairs are closed
-    under swapping, so the walk still yields each remaining class once.
-    Strict mode and size 4 walk every class.  Each class walked gets its
-    verdicts from the window rule (_window_verdicts), so strict mode tests
-    the canonical representative.  Strict mode records the strictly irreducible classes
-    with their up-to-equivalence flag; up-to-equivalence mode records the
-    evenly irreducible ones.  A state keeps every record in a done shard
-    (EvenSearchState checks it), so on a resume the pending shards walk only
-    unrecorded classes.  When the node budget runs out first,
-    WorkLimitExceeded carries a state that resumes the sweep exactly where
-    it stopped, and its message names the node cost of one shard, the
-    least budget under which a resume makes progress; the budget prices
-    every value, an upper bound on the pruned walk.  results lists the
-    recorded (quiddity, equiv_reducible) pairs in the element order of
-    classes; the flag keeps divergent records visible.
+    Returns (results, final_state).  Shard c, swept in ascending order of c,
+    yields the classes whose least entry is c (the min-first walk of
+    enumerate_quiddities).  Up to equivalence at size >= 6 the walk leaves
+    out the classes with a cyclically adjacent pair of reducing_pairs(z,
+    size, bound, "even"), none evenly irreducible, whole classes at a time;
+    strict mode and size 4 walk every class.  Each class walked gets its
+    verdicts from the window rule (_window_verdicts), on the canonical
+    representative in strict mode, which records the strictly irreducible
+    classes with their up-to-equivalence flag; up-to-equivalence mode
+    records the evenly irreducible ones.  A state keeps every record in a
+    done shard (EvenSearchState checks it), so a resume walks only
+    unrecorded classes.  When the work limit cuts the walk
+    (solve._map_shards), WorkLimitExceeded carries a state whose done lists
+    exactly the shards before the cut, whatever the worker count.  results
+    lists the recorded (quiddity, equiv_reducible) pairs in the element
+    order of classes; the flag keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
@@ -300,29 +294,26 @@ def search_evenly_irreducible(
     shards = 2 * bound + 1
     done = set(state.done) if state else set()
     records = list(state.found) if state else []
-    per_shard, per_shard_text = priced_nodes(1, shards, size - 1)
-    affordable = 0 if per_shard is None else max(0, min(shards, work_limit // per_shard))
-    pending = (c for c in range(-bound, bound + 1) if c not in done)
-    batch = list(islice(pending, affordable))
-    overflow = shards - len(done) - len(batch)
-    if batch:
+    try:
         found = enumerate_quiddities(
             _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            firsts=batch,
+            firsts=(c for c in range(-bound, bound + 1) if c not in done),
             forbidden=() if strict else reducing_pairs(_Z, size, bound, PARITY_EVEN),
         )
-        for q in found:
-            split_strict, split_equiv = _window_verdicts(q.coeffs)
-            if not (split_strict if strict else split_equiv):
-                records.append((q.coeffs, q.sign, split_equiv))
-        done.update(batch)
+        cut, finished = None, range(-bound, bound + 1)
+    except WorkLimitExceeded as exc:
+        if exc.state is None:  # refused before any shard ran
+            raise
+        cut, (finished, found) = exc, exc.state
+    done.update(finished)
+    for q in found:
+        split_strict, split_equiv = _window_verdicts(q.coeffs)
+        if not (split_strict if strict else split_equiv):
+            records.append((q.coeffs, q.sign, split_equiv))
     final = EvenSearchState(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)))
-    if overflow:
-        message = (
-            f"{overflow} of {shards} shards still pending; "
-            f"one shard needs {per_shard_text} nodes (limit {work_limit})"
-        )
-        raise WorkLimitExceeded(message, state=final)
+    if cut is not None:
+        message = f"{shards - len(done)} of {shards} shards still pending; {cut}"
+        raise WorkLimitExceeded(message, state=final) from None
     # over z the element order of classes is the order of their coefficients
     results = [(Quiddity(_Z, cc, sign), red) for cc, sign, red in final.found]
     return results, final

@@ -3,46 +3,33 @@ of the last three entries, exhaustive enumeration, the exact splice
 decomposition test, and irreducible classification.
 
 The enumeration core is one integer walker for every ring.  Each position
-gets an integer scale (see _position_scales and its two lemmas: the
-alternating scales 1, D, 1, D, ... for a quadratic generator with w**2 = D,
-and a Kronecker substitution X := M for the formal symbol), so that a
-coefficient tuple solves over the generator exactly when the scaled integer
-tuple solves over Z.  The walker visits the first n-3 coefficients depth
-first while accumulating the ordered product as four plain integers; one
-loop body walks the last of them, solves for the third-from-last entry (at
-most two candidates, and the whole level only where the product's
-upper-left entry is 0) and completes the final two entries in closed form
-(see _run_shard).  Every enumeration generates dihedral classes: the walk
-is min-first (the shard of first coefficient c walks only coefficients
-ranked at or above c) and keeps a leaf only when it is its own canonical
-form, so each class comes out once, from the shard of its least entry, with
-no dedupe pass (see _run_shard).  Plain enumeration expands each class to
-its dihedral orbit (see _collect).  A set of forbidden adjacent pairs,
-closed under swapping, restricts every row of the walk to the values that
-may follow the previous entry, which keeps whole classes (see _run_shard).
-Two more lemmas prune the walk: a prefix whose continuant exceeds what its
-complementary window can reach never closes (the frieze cap), and at the
-last walked position at most four entries leave the third-from-last
-solvable (see _run_shard).
-Prenecklace pruning
-(Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left out:
-after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
+gets an integer scale (see _position_scales), so that a coefficient tuple
+solves over the generator exactly when the scaled integer tuple solves over
+Z.  The walker visits the first n-3 coefficients depth first on the product
+as four plain integers, solves for the third-from-last entry and completes
+the last two in closed form.  It is min-first and keeps a leaf only when it
+is its own canonical form, so each dihedral class comes out once, from the
+shard of its least entry; forbidden adjacent pairs drop whole classes, and
+the frieze cap and the last-position lemma prune it (see _run_shard).  Plain
+enumeration expands each class to its orbit (see _collect).  Prenecklace
+pruning (Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left
+out: after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
 Everything the walker emits is a plain Quiddity that re-verifies through the
 generic matrix route, and the test suite holds the two routes against each
-other.
+other.  The work limit is charged with what the walk does (see _run_shard)
+and cuts a sweep at the same shard for any worker count (see _map_shards).
 
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
 is a fixed window of the representative and its two boundary entries are
-forced by the window's matrix product.  Enumerating candidate summands
-instead could never terminate over an infinite subgroup.  The scan runs on
-the walker's scaled integers and closed-form completion; the generic
-RingElem/Mat2 route serves only verification and the test suite's oracles.
-The scan's shortest windows give a rule that needs no scan at all: a class
-with a cyclically adjacent pair (c1, c2) whose scaled window of two has
-continuant +-1, i.e. c1*c2 times the pair's scale product in {0, 2}, or
-over <+-1> an entry +-1, is reducible (see reducing_pairs).  Classification
-and even-search walk only the classes free of such pairs, and scan those.
+forced by the window's matrix product (enumerating candidate summands could
+never terminate over an infinite subgroup).  The scan runs on the walker's
+scaled integers; the generic RingElem/Mat2 route serves only verification
+and the test suite's oracles.  The shortest windows give a rule that needs
+no scan: a class with a cyclically adjacent pair whose scaled window of two
+has continuant +-1, or over <+-1> an entry +-1, is reducible (see
+reducing_pairs).  Classification and even-search walk only the classes
+free of such pairs, and scan those.
 """
 
 from __future__ import annotations
@@ -50,15 +37,14 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 from .core import Quiddity, canonical_coeffs, coeff_ranks, dihedral_orbit
 from .rings import GeneratorSpec
 
 DEFAULT_WORK_LIMIT = 10 ** 8
-# the walker recurses once per level: a larger size with two or more values is
-# priced at 2**(n-3) > 10**152 nodes or more, and refused whatever the limit
+# the walker recurses once per walked level, so larger sizes with two or more
+# values would overrun the recursion limit: refused whatever the limit
 _MAX_WALK_SIZE = 512
 
 PARITY_ANY = "any"
@@ -72,7 +58,8 @@ class NotAQuiddityError(ValueError):
 class WorkLimitExceeded(RuntimeError):
     """The search would exceed its node budget; never a partial answer.
 
-    Resumable searches attach a checkpointable state.
+    state is what finished before the cut, or None: (first coefficients,
+    classes) from enumerate_quiddities, an EvenSearchState from even-search.
     """
 
     def __init__(self, message, state=None):
@@ -81,8 +68,8 @@ class WorkLimitExceeded(RuntimeError):
 
 
 def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
-    """The coefficients one position takes, as a range: a search is priced
-    from its length before any value is built."""
+    """The coefficients one position takes, as a range, counted as stop -
+    start (len() overflows past the machine word) before any is built."""
     kind, p, _ = gen.ring
     if kind == "int" and p == 0:
         return range(1)  # the zero generator maps every coefficient to one element
@@ -91,36 +78,13 @@ def _coeff_values(gen: GeneratorSpec, bound: int) -> range:
 
 def predicted_nodes(num_values: int, size: int) -> int:
     """DFS states for a full prefix tree over size-2 levels, root included:
-    1 + v + ... + v**(size-2) for v = num_values.
-
-    An upper bound on the states the walker visits: it solves for the last
-    level's entry instead of walking it (see _run_shard), and walks that
-    level in full only below products with upper-left entry 0.  The work
-    limit prices this bound."""
+    1 + v + ... + v**(size-2) for v = num_values, far above what the walker
+    visits.  Only the benchmark's space_nodes figure reads it."""
     if size <= 2:
         return 1
     if num_values == 1:
         return size - 1
     return (num_values ** (size - 1) - 1) // (num_values - 1)
-
-
-def priced_nodes(count: int, num_values: int, size: int):
-    """(cost, text) for count * predicted_nodes(num_values, size) nodes;
-    (None, "more than 10^k") when the cost is too long to print.
-
-    For num_values >= 2 the cost lies in [C, 2C) with C = count *
-    num_values**(size-2), so log10(C) bounds its digit count before it is
-    built (capping size keeps the estimate a lower bound).  Python's str()
-    refuses ints longer than sys.get_int_max_str_digits() digits, and no
-    run can spend such a budget, so that cost is never built and callers
-    refuse it whatever the limit.
-    """
-    if count and num_values >= 2 and size > 2:
-        log_c = math.log10(count) + min(size - 2, 10**6) * math.log10(num_values)
-        if log_c + 2 > (getattr(sys, "get_int_max_str_digits", int)() or 4300):
-            return None, f"more than 10^{int(log_c) - 1}"
-    cost = count * predicted_nodes(num_values, size)
-    return cost, str(cost)
 
 
 def _position_scales(gen: GeneratorSpec, n: int, bound: int):
@@ -217,10 +181,17 @@ def _pair_free(found, forbidden):
             if not any((t[j - 1], t[j]) in forbidden for j in range(len(t)))]
 
 
-def _run_shard(gen, n, bound, first, forbidden=frozenset()):
-    """The canonical forms of the classes whose least entry is `first`, each
-    once, with their signs (every class when first is None, used for n = 2),
-    keeping only the classes with no cyclically adjacent pair in forbidden.
+def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
+    """(found, spent): the canonical forms of the classes whose least entry
+    is `first`, each once, with their signs (at n = 2 the one class, for any
+    first), keeping only the classes with no cyclically adjacent pair in
+    forbidden, and the shard's work charge; once spent passes budget the
+    walk stops, and found is None if it stopped early.
+
+    Work charge: v values for the rank dict, then v' (the values ranked at
+    or above first) per walked level and v'**2 for the after sets, each paid
+    before it is built; each walked node adds the length of its row, and a
+    whole-level third-from-last entry v'.  A shard with no walk costs 1.
 
     One integer walker serves every ring through _position_scales: from the
     fixed first coefficient, positions 1 .. n-5 are walked depth first on
@@ -303,19 +274,25 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
     leaf makes no pair test.
     """
     every = _coeff_values(gen, bound)
-    if len(every) == 1:  # every entry is 0
-        return [] if n % 2 else _pair_free([((0,) * n, (-1) ** (n // 2))], forbidden)
+    if every.stop - every.start == 1:  # every entry is 0
+        return ([] if n % 2 else _pair_free([((0,) * n, (-1) ** (n // 2))], forbidden)), 1
     scales = _position_scales(gen, n, bound)
     if scales is None:
-        return []
+        return [], 1
     if n == 2:
-        return _pair_free([((0, 0), -1)], forbidden)
+        return _pair_free([((0, 0), -1)], forbidden), 1
     if n == 3:
         e = first * scales[0]
-        return _pair_free([((first,) * 3, -e)] if e in (1, -1) else [], forbidden)
+        return _pair_free([((first,) * 3, -e)] if e in (1, -1) else [], forbidden), 1
+    spent = every.stop - every.start
+    if spent > budget:
+        return None, spent
     low = coeff_ranks((first,), gen)[0]
     rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low}
     vals = tuple(rank)
+    spent += (n - 4) * len(vals) + (len(vals) ** 2 if forbidden else 0)
+    if spent > budget:
+        return None, spent
     # after[a]: the values that may follow a; levels[d][a]: the (value,
     # scaled entry) pairs position d walks after a, one shared row when
     # nothing is forbidden
@@ -339,22 +316,27 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
     emit = found.append
 
     def rec(depth, prefix, last, p11, p12, p21, p22):
-        if depth < n - 4:
-            cap = caps[depth]
-            for c, e in levels[depth][last]:
-                q11 = e * p11 - p21
-                if -cap <= q11 <= cap:
-                    rec(depth + 1, prefix + (c,), c, q11, e * p12 - p22, p11, p12)
-            return
-        if p11 > 1 or p11 < -1:  # at most four entries (the last-position lemma)
+        nonlocal spent
+        walked = depth < n - 4
+        if walked or -1 <= p11 <= 1:
+            row = levels[depth][last]
+        else:  # at most four entries (the last-position lemma)
             r = (abs(p11) + 1) // abs(s3)
             d, lo, hi = s4 * p11, p21 - r, p21 + r
             if d < 0:
                 d, lo, hi = -d, -hi, -lo
             allowed = after[last] if forbidden else rank
             row = [(c, c * s4) for c in range(-(-lo // d), hi // d + 1) if c in allowed]
-        else:
-            row = levels[depth][last]
+        spent += len(row)
+        if spent > budget:
+            raise WorkLimitExceeded(first)
+        if walked:
+            cap = caps[depth]
+            for c, e in row:
+                q11 = e * p11 - p21
+                if -cap <= q11 <= cap:
+                    rec(depth + 1, prefix + (c,), c, q11, e * p12 - p22, p11, p12)
+            return
         for c, e in row:  # position n-4, then n-3 solved, then completed
             q11 = e * p11 - p21
             q12 = e * p12 - p22
@@ -364,6 +346,7 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
                 thirds = (() if lo % q else (lo // q,)) + (() if hi % q else (hi // q,))
             else:
                 thirds = vals
+                spent += len(vals)
             for c3 in thirds:
                 e3 = c3 * s3
                 r11 = e3 * q11 - p11  # +-1; the sign is -r11
@@ -379,72 +362,93 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset()):
                     if rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t:
                         emit((t, -r11))
 
-    rec(0, (), None, 1, 0, 0, 1)
-    return found
+    try:
+        rec(0, (), None, 1, 0, 0, 1)
+    except WorkLimitExceeded:  # spent passed budget
+        found = None
+    rec = None  # rec's closure holds rec: free the cycle and this shard's tables now
+    return found, spent
 
 
-def _walk_stripe(send, run, stripe):
-    """A pool worker's body: the results of its stripe of shards, sent back
-    as one list over its own one-way pipe."""
-    send.send([run(first) for first in stripe])
+def _stripe(run, shards, count, walkers, w, limit):
+    """(found, spent) of each shard i < count of stripe w in order, each run
+    on what is left of limit, until the stripe's own total passes limit."""
+    total = 0
+    for i in range(w, count):
+        if min(i % (2 * walkers), 2 * walkers - 1 - i % (2 * walkers)) == w:
+            found, spent = run(shards[i], budget=limit - total)
+            yield found, spent
+            total += spent
+            if total > limit:
+                return
 
 
-def _map_shards(gen, n, bound, shards, workers, forbidden=frozenset()):
-    """Every shard's (coeffs, sign) pairs in shard order, flattened; the
-    serial path holds one shard's result at a time.
+def _walk_stripe(send, *args):
+    """A pool worker's body: its _stripe, sent back over its own pipe."""
+    send.send(list(_stripe(*args)))
 
-    With W = min(workers, shards, CPUs) > 1 walkers, the parent is one of
-    them: it starts W - 1 worker processes, and worker w walks stripe w and
-    sends back its list of shard results over its own one-way pipe, while
-    the parent walks stripe 0.  Stripe w takes one shard from each block of
-    W consecutive shards, the shards i with owner(i) = w, where
-    owner(i) = min(i % 2W, 2W - 1 - i % 2W): i % W in even blocks and
-    W - 1 - i % W in odd ones.  Lemma (merge): shard i is item i // W of
-    stripe owner(i), since every stripe lists its shards in block order, so
-    reading i = 0, 1, ... back restores shard order and the output does not
-    depend on W.  Lemma (balance): when shard costs do not grow along the
-    shards, as in a min-first walk over z, every stripe costs at most the
-    sum of its blocks' first shards, the cost of stripe 0 of the plain
-    stripes shards[w::W].  A worker that exits without sending or with a
-    nonzero exit code raises RuntimeError, and no partial list is returned;
-    whatever raises, every worker is terminated and joined first.
+
+def _map_shards(run, shards, count, workers, limit):
+    """(found, cut) for the first count shards, run(first, budget=...) giving
+    a shard's (found, spent): found holds the (coeffs, sign) pairs before
+    the cut in shard order; cut is (i, limit minus the total before i) for
+    the first shard i whose running total passes limit, else None.
+
+    The parent is one of W = min(workers, count, CPUs) walkers: worker w of
+    the W - 1 it starts walks stripe w, the shards i with owner(i) = min(i %
+    2W, 2W - 1 - i % 2W), and the parent stripe 0 (every shard, one at a
+    time, when W = 1).  Lemma (merge): each stripe is in shard order, so
+    reading shard i off stripe owner(i) for i = 0, 1, ... restores it.
+    Lemma (balance): when shard costs do not grow along the shards
+    (min-first over z), no stripe costs more than its blocks' first shards,
+    the dearest stripe of shards[w::W].  Lemma (cut): the running total up
+    to a shard is at least its walker's own total, and a finished shard's
+    charge does not depend on its budget.  So every shard before the cut has
+    its exact charge, one its walker never reached lies after the cut, and
+    one over its budget passes limit: every W cuts at the same shard with
+    the same nodes left, wasting at most W * limit nodes.  A worker that
+    exits without sending or with a nonzero exit code raises RuntimeError;
+    whatever raises, every worker is terminated and joined.
     """
-    run = functools.partial(_run_shard, gen, n, bound, forbidden=forbidden)
-    if workers > 1:
-        workers = min(workers, len(shards), os.cpu_count() or 1)
-    if workers <= 1:
-        return [pair for first in shards for pair in run(first)]
-    import multiprocessing  # only when a pool is started: it costs an import
-
-    period = 2 * workers
-    owner = [min(i % period, period - 1 - i % period) for i in range(len(shards))]
-    stripes = [[c for c, o in zip(shards, owner) if o == w] for w in range(workers)]
+    walkers = max(1, min(workers, count, os.cpu_count() or 1))
+    stripes = [_stripe(run, shards, count, walkers, 0, limit)]
     procs = []
     try:
-        for w in range(1, workers):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_walk_stripe, args=(send, run, stripes[w]), daemon=True)
-            proc.start()
-            send.close()  # the worker holds the only write end: its exit reads as EOF
-            procs.append((proc, recv))
-        results = [[run(first) for first in stripes[0]]]
-        for proc, recv in procs:
-            try:
-                stripe = recv.recv()
-            except EOFError:
-                stripe = None
-            proc.join()
-            if stripe is None or proc.exitcode:
-                raise RuntimeError(f"a shard worker failed (exit code {proc.exitcode})")
-            results.append(stripe)
+        if walkers > 1:
+            import multiprocessing  # only when a pool is started: it costs an import
+
+            for w in range(1, walkers):
+                recv, send = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(
+                    target=_walk_stripe, args=(send, run, shards, count, walkers, w, limit),
+                    daemon=True)
+                proc.start()
+                send.close()  # the worker holds the only write end: its exit reads as EOF
+                procs.append((proc, recv))
+            stripes[0] = iter(list(stripes[0]))  # the parent's stripe, walked meanwhile
+            for proc, recv in procs:
+                try:
+                    stripe = recv.recv()
+                except EOFError:
+                    stripe = None
+                proc.join()
+                if stripe is None or proc.exitcode:
+                    raise RuntimeError(f"a shard worker failed (exit code {proc.exitcode})")
+                stripes.append(iter(stripe))
+        found, total, period = [], 0, 2 * walkers
+        for i in range(count):
+            pairs, spent = next(stripes[min(i % period, period - 1 - i % period)])
+            if total + spent > limit:
+                return found, (i, limit - total)
+            total += spent
+            found += pairs
+        return found, None
     finally:
         for proc, recv in procs:
             if proc.exitcode is None:
                 proc.terminate()
             proc.join()
             recv.close()
-    return [pair for i, o in enumerate(owner) for pair in results[o][i // workers]]
 
 
 def _collect(gen, found, canonical_only):
@@ -487,15 +491,15 @@ def enumerate_quiddities(
     (the pair-free lemma of _run_shard).
 
     Sharded on the first coefficient (all values, or the distinct ones in
-    firsts).  Shard c walks min-first (see _run_shard) and holds exactly the
-    canonical forms of the classes whose least entry is c, each once, so
-    firsts selects the classes whose least entry is in it, in both modes;
-    plain output is the union of those classes' orbits (see _collect).
-    Results are merged and re-sorted, so worker count never changes the
-    output.  The work limit prices the full prefix tree
-    (predicted_nodes), an upper bound on the nodes walked known up front,
-    which keeps it a hard precondition rather than a mid-flight truncation;
-    it still prices every value, an upper bound on a pair-free walk.
+    the iterable firsts, in its order).  Shard c walks min-first (see
+    _run_shard) and holds exactly the canonical forms of the classes whose
+    least entry is c, each once, so firsts selects the classes whose least
+    entry is in it, in both modes; plain output is the union of those
+    classes' orbits (see _collect).  Results are merged and re-sorted, so
+    worker count never changes the output.  WorkLimitExceeded names the
+    shard where work_limit cuts the sweep (_map_shards) and the nodes left;
+    as each shard costs at least 1, firsts is read no further than
+    work_limit + 1 shards.
     """
     if size < 2:
         raise ValueError("enumeration needs size >= 2")
@@ -506,20 +510,21 @@ def enumerate_quiddities(
         raise ValueError("forbidden pairs must be closed under swapping")
     vals = _coeff_values(gen, bound)
     if firsts is None:
-        shards, count, levels = ([None] if size == 2 else vals), 1, size
-    elif size == 2 or len(set(firsts)) != len(firsts) or not all(f in vals for f in firsts):
-        raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
+        shards, count = vals, min(vals.stop - vals.start, 1 if size == 2 else work_limit + 1)
     else:
-        shards, count, levels = list(firsts), len(firsts), size - 1
-    cost, text = priced_nodes(count, vals.stop - vals.start, levels)
-    if cost is None or cost > work_limit:
-        raise WorkLimitExceeded(f"enumeration would visit {text} nodes (limit {work_limit})")
-    if len(vals) > 1 and size > _MAX_WALK_SIZE:
-        raise WorkLimitExceeded(
-            f"size {size} is priced at more than 2^{size - 3} nodes; sizes above "
-            f"{_MAX_WALK_SIZE} with two or more coefficient values are refused whatever the limit"
-        )
-    found = _map_shards(gen, size, bound, shards, workers, forbidden)
+        shards = [c for _, c in zip(range(work_limit + 1), firsts)]
+        count = len(shards)
+        if size == 2 or len(set(shards)) != count or not all(c in vals for c in shards):
+            raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
+    if vals.stop - vals.start > 1 and size > _MAX_WALK_SIZE:
+        raise WorkLimitExceeded(f"size {size} is deeper than the walker recurses: sizes above "
+                                f"{_MAX_WALK_SIZE} with two or more values are refused whatever the limit")
+    run = functools.partial(_run_shard, gen, size, bound, forbidden=forbidden)
+    found, cut = _map_shards(run, shards, count, workers, work_limit)
+    if cut is not None:
+        i, left = cut
+        message = f"shard {shards[i]} needs more than the {left} nodes left (limit {work_limit})"
+        raise WorkLimitExceeded(message, state=(tuple(shards[:i]), _collect(gen, found, True)))
     return _collect(gen, found, canonical_only)
 
 
@@ -660,8 +665,11 @@ def reducing_pairs(gen: GeneratorSpec, size: int, bound: int, parity: str) -> fr
     values = _coeff_values(gen, bound)
     pairs = set()
     if size >= 5 and parity == PARITY_ANY or size >= 6 and size % 2 == 0:
-        sigma = scales[-2] * scales[-1]
-        pairs.update((a, b) for a in values for b in values if a * b * sigma in (0, 2))
+        sigma = scales[-2] * scales[-1]  # nonzero unless 0 is the one value
+        for a in values:  # a*b*sigma = 0 needs a 0, and = 2 the one b = 2/(a*sigma)
+            pairs.update(((a, 0), (0, a)))
+            if a and 2 % (a * sigma) == 0 and 2 // (a * sigma) in values:
+                pairs.add((a, 2 // (a * sigma)))
     if size >= 4 and parity == PARITY_ANY and gen.ring[0] == "int":
         for c in values:
             if c * scales[-1] in (1, -1):
@@ -683,8 +691,8 @@ def classify_irreducibles(
     reducing_pairs, each of which find_decomposition splits (its lemmas),
     so the walk leaves out reducible classes only, whole classes at a time
     (the pair-free lemma of _run_shard); every class walked is then
-    decided by is_irreducible.  The work limit still prices the full
-    prefix tree.
+    decided by is_irreducible.  Each size is charged against the whole
+    work limit (enumerate_quiddities).
     """
     out = []
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted

@@ -8,6 +8,7 @@ against something slower and simpler.
 
 from __future__ import annotations
 
+import math
 import os
 from itertools import product
 from pathlib import Path
@@ -190,20 +191,28 @@ def brute_enumerate(gen, n, bound):
 _RUN_SHARD, _WALK_STRIPE = solve._run_shard, solve._walk_stripe
 
 
-def shard_raising_at(bad, gen, n, bound, first, forbidden=frozenset()):
+def shard_raising_at(bad, gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
     """solve._run_shard, except that shard bad raises ArithmeticError: bound
     with functools.partial, it stands in for a shard that fails inside one
     walker of a pool (module level, so every start method can pickle it)."""
     if first == bad:
         raise ArithmeticError(f"shard {bad}")
-    return _RUN_SHARD(gen, n, bound, first, forbidden)
+    return _RUN_SHARD(gen, n, bound, first, forbidden, budget)
 
 
-def walk_stripe_then_exit(send, run, stripe):
+def walk_stripe_then_exit(send, *args):
     """solve._walk_stripe, then exit code 3: a worker that sends its results
     and still fails."""
-    _WALK_STRIPE(send, run, stripe)
+    _WALK_STRIPE(send, *args)
     os._exit(3)
+
+
+def shard_charges(size, bound, mode="up-to-equivalence"):
+    """The work charge of each shard of even-search at (size, bound, mode),
+    in shard order: what the kernel charges the work limit for it."""
+    z = GeneratorSpec("int", 1)
+    forbidden = solve.reducing_pairs(z, size, bound, "even") if mode != "strict" else frozenset()
+    return [solve._run_shard(z, size, bound, c, forbidden)[1] for c in range(-bound, bound + 1)]
 
 
 def full_walk_shard(gen, n, bound, first):

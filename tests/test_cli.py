@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,9 +14,8 @@ import pytest
 
 from quiddity import EvenSearchState, GeneratorSpec, Quiddity, audits, cli
 from quiddity.cli import main
-from quiddity.solve import predicted_nodes
 
-from helpers import child_env
+from helpers import child_env, shard_charges
 
 CONJECTURE_SEARCH = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_search.py"
 
@@ -459,10 +457,11 @@ class TestEvenSearch:
     def test_checkpoint_and_resume(self, mode, workers, tmp_path):
         ck, single_ck = tmp_path / "state.json", tmp_path / "single.json"
         args = ("even-search", "--size", "6", "--bound", "2", "--mode", mode, "--workers", workers)
-        # per-shard cost for size 6, bound 2 is 156 nodes: afford two shards
-        code, out = run_cli(*args, "--checkpoint", str(ck), "--work-limit", "312")
+        # a limit that pays for exactly the first two shards
+        limit = sum(shard_charges(6, 2, mode)[:2])
+        code, out = run_cli(*args, "--checkpoint", str(ck), "--work-limit", str(limit))
         assert code == 3
-        assert ck.exists()
+        assert EvenSearchState.load(ck).done == (-2, -1)
         code, resumed = run_cli(*args, "--checkpoint", str(ck))
         assert code == 0
         code, single = run_cli(*args, "--checkpoint", str(single_ck))
@@ -555,7 +554,7 @@ class TestEvenSearch:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"error: bad checkpoint {str(ck)!r}: {detail}")
 
-    def test_unaffordable_shard_names_its_cost(self, tmp_path, capsys):
+    def test_unaffordable_shard_names_the_nodes_left(self, tmp_path, capsys):
         ck = tmp_path / "c.json"
         args = ["even-search", "--size", "14", "--bound", "3", "--work-limit", "1000"]
         empty = EvenSearchState(14, 3, "up-to-equivalence", (), ()).to_json()
@@ -563,7 +562,8 @@ class TestEvenSearch:
             code, out = run_cli(*args, "--checkpoint", str(ck))
             assert code == 3 and out == ""
             err = capsys.readouterr().err
-            assert f"one shard needs {predicted_nodes(7, 13)} nodes (limit 1000)" in err
+            assert "7 of 7 shards still pending; shard -3 needs more than the 1000 nodes left " \
+                "(limit 1000)" in err
             assert f"checkpoint written to {ck}" in err
             assert ck.read_text() == empty
 
@@ -637,7 +637,7 @@ class TestConjectureSearchScript:
         assert first == second and json.loads(first)["count"] == 2
 
     def test_environment_work_limit_applies_without_the_flag(self, tmp_path):
-        # one size-8, bound-2 shard needs 3906 nodes
+        # the first size-8, bound-2 shard is charged more than 10 nodes
         proc = run_script("--sizes", "8", "--bound", "2", cwd=tmp_path, QUIDDITY_WORK_LIMIT="10")
         assert proc.returncode == 3 and proc.stdout == ""
         assert "checkpoint written" in proc.stderr
@@ -649,12 +649,13 @@ class TestConjectureSearchScript:
     def test_malformed_environment_work_limit_is_usage_error_before_any_write(
         self, value, tmp_path
     ):
-        # the script checks the variable itself and names both
+        # the CLI's own parse refuses the variable at the first size, before
+        # any sweep or evidence write
         proc = run_script("--sizes", "4", "--bound", "1", cwd=tmp_path, QUIDDITY_WORK_LIMIT=value)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert f"conjecture_search.py: error: environment variable QUIDDITY_WORK_LIMIT: " \
+        assert f"quiddity even-search: error: argument --work-limit: " \
             f"work limit must be an integer >= 0, got {value!r}" in proc.stderr
-        assert "even-search" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_environment_work_limit_is_ignored_under_the_flag(self, tmp_path):
@@ -665,7 +666,9 @@ class TestConjectureSearchScript:
         assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
 
     def test_work_limit_flag_overrides_the_environment(self, tmp_path):
-        # one size-4, bound-1 shard needs 13 nodes: the variable alone aborts
+        # the size-4, bound-1 sweep is charged more than 10 nodes and at most
+        # 39: the variable alone aborts
+        assert 10 < sum(shard_charges(4, 1)) <= 39
         proc = run_script(
             "--sizes", "4", "--bound", "1", "--work-limit", "39", cwd=tmp_path,
             QUIDDITY_WORK_LIMIT="10",
@@ -674,19 +677,17 @@ class TestConjectureSearchScript:
         assert proc.stdout == "n=4: 2 evenly irreducible classes (bound 1)\n"
 
 
-class TestPricing:
-    """A sweep is priced before anything of its size is built, and refusing
-    it always exits 3."""
+class TestRefusedWithoutBuilding:
+    """A shard pays for its setup before it is built, so a sweep the limit
+    cannot pay for is cut before anything of its size is built, and the cut
+    always exits 3."""
 
     @pytest.mark.parametrize(
-        "argv, cost",
-        [
-            (["enumerate", "--gen", "z"], "enumeration would visit {} nodes"),
-            (["even-search"], "one shard needs {} nodes"),
-        ],
+        "argv, pending",
+        [(["enumerate", "--gen", "z"], ""), (["even-search"], "600001 of 600001 shards still pending; ")],
         ids=["enumerate", "even-search"],
     )
-    def test_wide_bound_is_refused_without_building_it(self, argv, cost, capsys):
+    def test_wide_bound_is_refused_without_building_it(self, argv, pending, capsys):
         tracemalloc.start()
         try:
             code, out = run_cli(*argv, "--size", "4", "--bound", "300000", "--work-limit", "1000")
@@ -695,8 +696,9 @@ class TestPricing:
             tracemalloc.stop()
         assert code == 3 and out == ""
         assert peak < 1_000_000
-        nodes = predicted_nodes(600_001, 4 if argv[0] == "enumerate" else 3)
-        assert cost.format(nodes) + " (limit 1000)" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"work limit: {pending}shard -300000 needs more than the 1000 nodes left (limit 1000)\n"
+        )
 
     def test_bound_beyond_machine_integers_exits_3(self, capsys):
         bound = 10**20
@@ -704,18 +706,18 @@ class TestPricing:
             "enumerate", "--gen", "z", "--size", "4", "--bound", str(bound), "--work-limit", "1000"
         )
         assert code == 3 and out == ""
-        nodes = predicted_nodes(2 * bound + 1, 4)
-        assert f"would visit {nodes} nodes (limit 1000)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"shard {-bound} needs more than the 1000 nodes left (limit 1000)" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv", [["enumerate", "--gen", "z"], ["even-search"]], ids=["enumerate", "even-search"]
     )
-    def test_unprintable_cost_is_a_true_lower_bound(self, argv, capsys):
+    def test_size_past_the_walk_depth_exits_3(self, argv, capsys):
         code, out = run_cli(*argv, "--size", "20000", "--bound", "1", "--work-limit", "1000")
         assert code == 3 and out == ""
-        (k,) = re.findall(r"more than 10\^(\d+) nodes \(limit 1000\)", capsys.readouterr().err)
-        levels = 20000 if argv[0] == "enumerate" else 19999
-        assert int(k) > 4300 and predicted_nodes(3, levels) > 10 ** int(k)
+        err = capsys.readouterr().err
+        assert "refused whatever the limit" in err and "Traceback" not in err
 
 
 class TestDeepSizes:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import json
+import multiprocessing
 
 import pytest
 
@@ -21,12 +23,13 @@ from quiddity import (
     is_evenly_reducible,
     search_evenly_irreducible,
 )
+from quiddity import solve
 from quiddity.audits import link_probe
 from quiddity.cli import main
 from quiddity.even import MODES, _window_verdicts
 from quiddity.solve import reducing_pairs
 
-from helpers import generic_decomposition
+from helpers import generic_decomposition, shard_charges
 
 Z = GeneratorSpec.from_string("z")
 # every even size up to 10 at every bound up to 3, and one wider bound
@@ -273,12 +276,12 @@ class TestSearch:
 
     def test_checkpoint_resume_equals_single_shot(self):
         full, state_full = search_evenly_irreducible(6, 2)
-        # per-shard cost is 1+5+25+125 = 156 nodes; afford exactly two shards
+        # a limit that pays for exactly the first two shards
         with pytest.raises(WorkLimitExceeded) as exc:
-            search_evenly_irreducible(6, 2, work_limit=2 * 156)
+            search_evenly_irreducible(6, 2, work_limit=sum(shard_charges(6, 2)[:2]))
         partial = exc.value.state
         assert partial is not None and not partial.complete
-        assert 0 < len(partial.done) < 5
+        assert partial.done == (-2, -1)
         resumed, state_resumed = search_evenly_irreducible(6, 2, state=partial)
         assert [q.coeffs for q, _ in resumed] == [q.coeffs for q, _ in full]
         assert state_resumed.to_json() == state_full.to_json()
@@ -310,16 +313,17 @@ class TestSearch:
             for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)
             if not is_evenly_reducible(q, mode)
         }
-        shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
+        # the dearest shard's charge: every run finishes at least one shard
+        limit = max(shard_charges(8, 2, mode))
         state, partials = None, []
-        while True:
+        for _ in range(5):  # one run per shard at most
             try:
-                _, state = search_evenly_irreducible(8, 2, mode, work_limit=shard, state=state)
+                _, state = search_evenly_irreducible(8, 2, mode, work_limit=limit, state=state)
                 break
             except WorkLimitExceeded as exc:
                 state = exc.state
                 partials.append(state)
-        assert len(partials) == 4
+        assert state.complete and len(partials) >= 2
         for partial in partials:
             assert all(cc[0] in partial.done for cc, _, _ in partial.found)
             assert {cc for cc, _, _ in partial.found} == {
@@ -426,30 +430,67 @@ class TestSearch:
                 enumerate_quiddities(Z, 6, 2, firsts=bad)
         with pytest.raises(ValueError):
             enumerate_quiddities(Z, 2, 2, firsts=[0])
-        # a size-6, bound-2 shard costs 1+5+25+125 = 156 nodes
-        assert enumerate_quiddities(Z, 6, 2, work_limit=312, firsts=[0, 1]) is not None
+        # the limit pays for exactly the two shards' charges
+        charges = shard_charges(6, 2, MODE_STRICT)
+        limit = charges[2] + charges[3]  # shards 0 and 1
+        assert enumerate_quiddities(Z, 6, 2, work_limit=limit, firsts=[0, 1]) is not None
         with pytest.raises(WorkLimitExceeded):
-            enumerate_quiddities(Z, 6, 2, work_limit=311, firsts=[0, 1])
+            enumerate_quiddities(Z, 6, 2, work_limit=limit - 1, firsts=[0, 1])
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
     def test_resume_chain_equals_single_shot(self, mode, workers):
         full, state_full = search_evenly_irreducible(8, 2, mode)
-        shard = 1 + 5 + 25 + 125 + 625 + 3125  # size-8, bound-2 shard cost
+        # the dearest shard's charge: every run finishes at least one shard
+        limit = max(shard_charges(8, 2, mode))
         state, steps = None, 0
-        while True:
+        for _ in range(5):  # one run per shard at most
             try:
                 resumed, state = search_evenly_irreducible(
-                    8, 2, mode, work_limit=2 * shard, workers=workers, state=state
+                    8, 2, mode, work_limit=limit, workers=workers, state=state
                 )
                 break
             except WorkLimitExceeded as exc:
                 state, steps = exc.state, steps + 1
-        assert steps == 2
+        assert state.complete and steps >= 2
         assert [(q.coeffs, q.sign, red) for q, red in resumed] == [
             (q.coeffs, q.sign, red) for q, red in full
         ]
         assert state.to_json() == state_full.to_json()
+
+    def test_a_cut_is_the_same_for_every_worker_count(self, tmp_path, monkeypatch, capsys):
+        # at each shard boundary of 12 3 (running total - 1, = and + 1): the
+        # same exit code, stderr and checkpoint bytes for 1, 2 and 3 walkers,
+        # done holding exactly the shards the limit pays for, and a resume
+        # that prints the single run's bytes
+        monkeypatch.setattr(solve.os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("QUIDDITY_WORK_LIMIT", raising=False)
+        argv = ["even-search", "--size", "12", "--bound", "3", "--format", "jsonl"]
+        single = io.StringIO()
+        assert main(argv, out=single) == 0
+        ck = tmp_path / "ck.json"
+        totals = list(itertools.accumulate(shard_charges(12, 3)))
+        for limit in [t + d for t in totals for d in (-1, 0, 1)]:
+            runs = set()
+            for workers in ("1", "2", "3"):
+                ck.unlink(missing_ok=True)
+                capsys.readouterr()
+                code = main([*argv, "--work-limit", str(limit), "--workers", workers,
+                             "--checkpoint", str(ck)], out=io.StringIO())
+                runs.add((code, capsys.readouterr().err, ck.read_bytes()))
+            ((code, err, state),) = runs
+            paid = sum(t <= limit for t in totals)
+            assert code == (0 if paid == len(totals) else 3)
+            assert json.loads(state)["done"] == list(range(-3, -3 + paid))
+            if code:
+                assert err.startswith(f"work limit: {7 - paid} of 7 shards still pending; "
+                                      f"shard {paid - 3} needs more than the "
+                                      f"{limit - (totals[paid - 1] if paid else 0)} nodes left "
+                                      f"(limit {limit})\n")
+            resumed = io.StringIO()
+            assert main([*argv, "--checkpoint", str(ck)], out=resumed) == 0
+            assert resumed.getvalue() == single.getvalue()
+        assert multiprocessing.active_children() == []
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         import os

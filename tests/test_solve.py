@@ -4,6 +4,7 @@ and the two-small-entries probe, each against an exhaustive oracle."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import multiprocessing
 import subprocess
@@ -35,7 +36,7 @@ from quiddity import (
 from quiddity import solve
 from quiddity.audits import check_two_small_entries
 from quiddity.core import coeff_ranks
-from quiddity.solve import predicted_nodes, priced_nodes, reducing_pairs
+from quiddity.solve import predicted_nodes, reducing_pairs
 
 from helpers import (
     GENERATORS,
@@ -217,11 +218,30 @@ class TestEnumerate:
         for count in (workers - 1, workers, workers + 3):  # fewer, as many and more shards
             firsts = vals[:count]
             # the kernel's pairs in shard order, before _collect sorts them
-            assert solve._map_shards(Z, 6, 3, firsts, workers) == solve._map_shards(Z, 6, 3, firsts, 1)
+            run = functools.partial(solve._run_shard, Z, 6, 3)
+            pooled, serial = (solve._map_shards(run, firsts, count, w, solve.DEFAULT_WORK_LIMIT)
+                              for w in (workers, 1))
+            assert pooled == serial and serial[1] is None
             for canonical_only in (False, True):
                 serial = enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only)
                 assert enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only,
                                             workers=workers) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_the_cut_is_the_same_for_every_walker_count(self, monkeypatch):
+        # at each shard boundary (running total - 1, = and + 1) W = 2, 3, 4
+        # walkers, each shard capped at what its own walker has left, cut
+        # at the shard and with the nodes left that one walker finds
+        monkeypatch.setattr(solve.os, "cpu_count", lambda: 4)
+        run = functools.partial(solve._run_shard, Z, 7, 3)
+        shards = range(-3, 4)
+        totals = list(itertools.accumulate(run(c)[1] for c in shards))
+        for limit in [t + d for t in totals for d in (-1, 0, 1)]:
+            serial = solve._map_shards(run, shards, 7, 1, limit)
+            paid = sum(t <= limit for t in totals)
+            assert serial[1] == (None if paid == 7 else (paid, limit - ([0] + totals)[paid]))
+            for workers in (2, 3, 4):
+                assert solve._map_shards(run, shards, 7, workers, limit) == serial
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("name, stand_in, error", [
@@ -263,6 +283,15 @@ class TestEnumerate:
             tracemalloc.stop()
         assert [q.coeffs for q in found] == [(-1, -1, -1), (1, 1, 1)]
         assert peak < 1_000_000
+        # 601 walked shards of size 4, each with its own 601-value tables:
+        # none outlives its shard
+        tracemalloc.start()
+        try:
+            found = enumerate_quiddities(Z, 4, 300, canonical_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 303 and peak < 1_000_000
 
     def test_import_loads_no_pool_machinery(self):
         # only a run that starts a pool pays for multiprocessing, and none
@@ -285,24 +314,35 @@ class TestEnumerate:
         with pytest.raises(WorkLimitExceeded):
             enumerate_quiddities(Z, 8, 4, work_limit=100)
 
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.to_string())
+    def test_the_charge_stays_within_the_priced_prefix_tree(self, gen):
+        # at n >= 5 the walk's charge never passes count * predicted_nodes(v,
+        # levels), the full prefix tree the limit was once priced at: a full
+        # sweep, and the shards past each least-ranked run of them as firsts
+        # (the pending shards of a resumed sweep), with no pairs forbidden
+        # and with the reducing pairs of either parity
+        for n in range(5, 10):
+            for bound in range(4):
+                vals = solve._coeff_values(gen, bound)
+                order = sorted(vals, key=lambda c: coeff_ranks((c,), gen))
+                for pairs in (frozenset(), *(reducing_pairs(gen, n, bound, p) for p in ("any", "even"))):
+                    charge = {c: solve._run_shard(gen, n, bound, c, pairs)[1] for c in vals}
+                    total = sum(charge.values())
+                    assert total <= predicted_nodes(len(vals), n)
+                    for k in range(len(order)):
+                        pending = order[k:]
+                        assert sum(charge[c] for c in pending) <= len(pending) * predicted_nodes(
+                            len(vals), n - 1)
+                    # the sweep is cut exactly where its charges pass the limit
+                    sweep = functools.partial(enumerate_quiddities, gen, n, bound, forbidden=pairs)
+                    assert sweep(work_limit=total) == sweep()
+                    with pytest.raises(WorkLimitExceeded):
+                        sweep(work_limit=total - 1)
+
     def test_predicted_nodes_counts_the_prefix_tree(self):
         for v in range(1, 6):
             for n in range(9):
                 assert predicted_nodes(v, n) == 1 + sum(v**i for i in range(1, n - 1))
-
-    def test_priced_nodes_is_exact_or_a_true_lower_bound(self):
-        digits = sys.get_int_max_str_digits()
-        for v in (2, 10, 11):
-            edge = int(digits / math.log10(v))
-            for n in range(edge - 6, edge + 6):
-                for count in (1, v - 1):
-                    cost = count * predicted_nodes(v, n)
-                    exact, text = priced_nodes(count, v, n)
-                    if exact is None:
-                        k = int(text.removeprefix("more than 10^"))
-                        assert digits - 3 <= k and 10**k < cost
-                    else:
-                        assert exact == cost and text == str(cost)
 
     def test_zero_generator_deduplicates_coefficients(self):
         found = enumerate_quiddities(GeneratorSpec.from_string("z:0"), 4, 3)
@@ -351,7 +391,7 @@ class TestKernel:
                         low = coeff_ranks((first,), gen)[0]
                         want = [(c, eps) for c, eps in want if min(coeff_ranks(c, gen)) >= low]
                     classes = {canonical_coeffs(c, gen): eps for c, eps in want}
-                    got = solve._run_shard(gen, n, bound, first)
+                    got = solve._run_shard(gen, n, bound, first)[0]
                     assert set(got) == set(classes.items())
                     assert len(got) == len(set(got))
                     assert all(canonical_coeffs(c, gen) == c for c, _ in got)
@@ -421,11 +461,11 @@ class TestKernel:
         # zero tuple, and each (0, m, 0, -m) comes as a class from the shard
         # of its least entry: (-m, 0, m, 0) over Z
         for bound in range(4):
-            assert solve._run_shard(gen, 4, bound, 0) == [((0, 0, 0, 0), 1)]
+            assert solve._run_shard(gen, 4, bound, 0)[0] == [((0, 0, 0, 0), 1)]
             union = {
                 pair
                 for first in solve._coeff_values(gen, bound)
-                for pair in solve._run_shard(gen, 4, bound, first)
+                for pair in solve._run_shard(gen, 4, bound, first)[0]
             }
             want = {
                 (canonical_coeffs(c, gen), eps)
@@ -476,8 +516,8 @@ class TestPruningLemmas:
                        for c, eps in full_walk_shard(Z, n, bound, first) if min(c) >= first}
             pair_free = {(c, eps) for c, eps in classes
                          if all((c[j - 1], c[j]) not in forbidden for j in range(n))}
-            assert sorted(solve._run_shard(Z, n, bound, first)) == sorted(classes)
-            assert sorted(solve._run_shard(Z, n, bound, first, forbidden)) == sorted(pair_free)
+            assert sorted(solve._run_shard(Z, n, bound, first)[0]) == sorted(classes)
+            assert sorted(solve._run_shard(Z, n, bound, first, forbidden)[0]) == sorted(pair_free)
 
     def test_odd_sizes_have_no_solution_over_the_formal_symbol(self):
         # the grid at (7, 2) takes about 25 s, so size 7 stops at bound 1
