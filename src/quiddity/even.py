@@ -14,6 +14,7 @@ search walks only tuples with no adjacent pair that such a window rules out.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -265,22 +266,26 @@ def search_evenly_irreducible(
 ):
     """All canonical evenly irreducible integer tuples of one even size.
 
-    Returns (results, final_state).  Shard c, swept in ascending order of c,
-    yields the classes whose least entry is c (the min-first walk of
-    enumerate_quiddities).  Up to equivalence at size >= 6 the walk leaves
-    out the classes with a cyclically adjacent pair of reducing_pairs(z,
-    size, bound, "even"), none evenly irreducible, whole classes at a time;
-    strict mode and size 4 walk every class.  Each class walked gets its
-    verdicts from the window rule (_window_verdicts), on the canonical
-    representative in strict mode, which records the strictly irreducible
-    classes with their up-to-equivalence flag; up-to-equivalence mode
-    records the evenly irreducible ones.  A state keeps every record in a
-    done shard (EvenSearchState checks it), so a resume walks only
+    Returns (results, final_state).  Shards are swept in ascending order of
+    their coefficient c, and shard c yields the classes whose least entry is
+    c (the min-first walk of enumerate_quiddities).  Up to equivalence at
+    size >= 6 the walk leaves out every class with a cyclically adjacent
+    pair of reducing_pairs(z, size, bound, "even"), none of which is evenly
+    irreducible (the window rule, _window_verdicts); the pairs are closed
+    under swapping, so the walk still yields each remaining class once.
+    Strict mode and size 4 walk every class.  Each class walked gets its
+    verdicts from the window rule (_window_verdicts), so strict mode tests
+    the canonical representative.  Strict mode records the strictly irreducible classes
+    with their up-to-equivalence flag; up-to-equivalence mode records the
+    evenly irreducible ones.  A state keeps every record in a done shard
+    (EvenSearchState checks it), so on a resume the pending shards walk only
     unrecorded classes.  When the work limit cuts the walk
     (solve._map_shards), WorkLimitExceeded carries a state whose done lists
-    exactly the shards before the cut, whatever the worker count.  results
-    lists the recorded (quiddity, equiv_reducible) pairs in the element
-    order of classes; the flag keeps divergent records visible.
+    exactly the shards before the cut, whatever the worker count, so a
+    resume continues the sweep where it stopped; a sweep refused up front
+    (enumerate_quiddities) carries the state unchanged.  results lists
+    the recorded (quiddity, equiv_reducible) pairs in the element order of
+    classes; the flag keeps divergent records visible.
     """
     if size % 2 or size < 4:
         raise ValueError("the search runs over even sizes >= 4")
@@ -298,18 +303,18 @@ def search_evenly_irreducible(
         found = enumerate_quiddities(
             _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
             firsts=(c for c in range(-bound, bound + 1) if c not in done),
-            forbidden=() if strict else reducing_pairs(_Z, size, bound, PARITY_EVEN),
+            forbidden=() if strict else functools.partial(reducing_pairs, _Z, size, bound, PARITY_EVEN),
         )
-        cut, finished = None, range(-bound, bound + 1)
+        cut, finished, pairs = None, range(-bound, bound + 1), [(q.coeffs, q.sign) for q in found]
     except WorkLimitExceeded as exc:
-        if exc.state is None:  # refused before any shard ran
+        if exc.state is None:  # refused whatever the limit
             raise
-        cut, (finished, found) = exc, exc.state
+        cut, (finished, pairs) = exc, exc.state
     done.update(finished)
-    for q in found:
-        split_strict, split_equiv = _window_verdicts(q.coeffs)
+    for cc, sign in pairs:
+        split_strict, split_equiv = _window_verdicts(cc)
         if not (split_strict if strict else split_equiv):
-            records.append((q.coeffs, q.sign, split_equiv))
+            records.append((cc, sign, split_equiv))
     final = EvenSearchState(size, bound, mode, tuple(sorted(done)), tuple(sorted(records)))
     if cut is not None:
         message = f"{shards - len(done)} of {shards} shards still pending; {cut}"

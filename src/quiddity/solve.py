@@ -3,17 +3,30 @@ of the last three entries, exhaustive enumeration, the exact splice
 decomposition test, and irreducible classification.
 
 The enumeration core is one integer walker for every ring.  Each position
-gets an integer scale (see _position_scales), so that a coefficient tuple
-solves over the generator exactly when the scaled integer tuple solves over
-Z.  The walker visits the first n-3 coefficients depth first on the product
-as four plain integers, solves for the third-from-last entry and completes
-the last two in closed form.  It is min-first and keeps a leaf only when it
-is its own canonical form, so each dihedral class comes out once, from the
-shard of its least entry; forbidden adjacent pairs drop whole classes, and
-the frieze cap and the last-position lemma prune it (see _run_shard).  Plain
-enumeration expands each class to its orbit (see _collect).  Prenecklace
-pruning (Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left
-out: after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
+gets an integer scale (see _position_scales and its two lemmas: the
+alternating scales 1, D, 1, D, ... for a quadratic generator with w**2 = D,
+and a Kronecker substitution X := M for the formal symbol), so that a
+coefficient tuple solves over the generator exactly when the scaled integer
+tuple solves over Z.  The walker visits the first n-3 coefficients depth
+first while accumulating the ordered product as four plain integers; one
+loop body walks the last of them, solves for the third-from-last entry (at
+most two candidates, and the whole level only where the product's
+upper-left entry is 0) and completes the final two entries in closed form
+(see _run_shard).  Every enumeration generates dihedral classes: the walk
+is min-first (the shard of first coefficient c walks only coefficients
+ranked at or above c) and keeps a leaf only when it is its own canonical
+form, so each class comes out once, from the shard of its least entry, with
+no dedupe pass (see _run_shard).  Plain enumeration expands each class to
+its dihedral orbit (see _collect).  A set of forbidden adjacent pairs,
+closed under swapping, restricts every row of the walk to the values that
+may follow the previous entry, which keeps whole classes (see _run_shard).
+Two more lemmas prune the walk: a prefix whose continuant exceeds what its
+complementary window can reach never closes (the frieze cap), and at the
+last walked position at most four entries leave the third-from-last
+solvable (see _run_shard).
+Prenecklace pruning
+(Fredricksen-Kessler-Maiorana, Sawada 2001) was measured and left out:
+after min-first, 753 of the 767 leaves of z, n = 7, B = 5 pass it.
 Everything the walker emits is a plain Quiddity that re-verifies through the
 generic matrix route, and the test suite holds the two routes against each
 other.  The work limit is charged with what the walk does (see _run_shard)
@@ -22,14 +35,15 @@ and cuts a sweep at the same shard for any worker count (see _map_shards).
 Reducibility is decided exactly, with no coefficient bound: for a fixed
 dihedral representative and summand size, the interior of the right summand
 is a fixed window of the representative and its two boundary entries are
-forced by the window's matrix product (enumerating candidate summands could
-never terminate over an infinite subgroup).  The scan runs on the walker's
-scaled integers; the generic RingElem/Mat2 route serves only verification
-and the test suite's oracles.  The shortest windows give a rule that needs
-no scan: a class with a cyclically adjacent pair whose scaled window of two
-has continuant +-1, or over <+-1> an entry +-1, is reducible (see
-reducing_pairs).  Classification and even-search walk only the classes
-free of such pairs, and scan those.
+forced by the window's matrix product.  Enumerating candidate summands
+instead could never terminate over an infinite subgroup.  The scan runs on
+the walker's scaled integers and closed-form completion; the generic
+RingElem/Mat2 route serves only verification and the test suite's oracles.
+The scan's shortest windows give a rule that needs no scan at all: a class
+with a cyclically adjacent pair (c1, c2) whose scaled window of two has
+continuant +-1, i.e. c1*c2 times the pair's scale product in {0, 2}, or
+over <+-1> an entry +-1, is reducible (see reducing_pairs).  Classification
+and even-search walk only the classes free of such pairs, and scan those.
 """
 
 from __future__ import annotations
@@ -58,8 +72,11 @@ class NotAQuiddityError(ValueError):
 class WorkLimitExceeded(RuntimeError):
     """The search would exceed its node budget; never a partial answer.
 
-    state is what finished before the cut, or None: (first coefficients,
-    classes) from enumerate_quiddities, an EvenSearchState from even-search.
+    state is what finished before the cut, or None when the search is
+    refused whatever the limit.  enumerate_quiddities attaches (shards, pairs):
+    the first coefficients of the shards before the cut, in sweep order, and
+    the kernel's (canonical coefficients, sign) pairs of their classes,
+    unsorted.  search_evenly_irreducible attaches its EvenSearchState.
     """
 
     def __init__(self, message, state=None):
@@ -188,10 +205,13 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
     forbidden, and the shard's work charge; once spent passes budget the
     walk stops, and found is None if it stopped early.
 
-    Work charge: v values for the rank dict, then v' (the values ranked at
-    or above first) per walked level and v'**2 for the after sets, each paid
-    before it is built; each walked node adds the length of its row, and a
-    whole-level third-from-last entry v'.  A shard with no walk costs 1.
+    Work charge: v values for the rank dict; with pairs forbidden, v'**2
+    (v' the values ranked at or above first) for the after sets, each built
+    by a scan of v' values; then per distinct scale of the walked levels v'
+    for its table, plus the total length of its rows when pairs are
+    forbidden; each is paid before it is built.  Each walked node adds the
+    length of its row, and a whole-level third-from-last entry v'.  A shard
+    with no walk costs 1.
 
     One integer walker serves every ring through _position_scales: from the
     fixed first coefficient, positions 1 .. n-5 are walked depth first on
@@ -290,20 +310,29 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
     low = coeff_ranks((first,), gen)[0]
     rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low}
     vals = tuple(rank)
-    spent += (n - 4) * len(vals) + (len(vals) ** 2 if forbidden else 0)
+    w = len(vals)
+    # after[a]: the values that may follow a, one set shared by equal ones;
+    # tables[s][a]: the (value, scaled entry) pairs a walked position of
+    # scale s takes after a, one row per after set (one row when nothing is
+    # forbidden), shared by every level of that scale
+    after, shared = None, {}
+    if forbidden:
+        spent += w * w
+        if spent > budget:
+            return None, spent
+        after = {}
+        for a in vals:
+            allowed = frozenset(c for c in vals if (a, c) not in forbidden)
+            after[a] = shared.setdefault(allowed, allowed)
+    tables = dict.fromkeys(scales[1 : n - 3])
+    spent += len(tables) * (w + sum(map(len, shared)))
     if spent > budget:
         return None, spent
-    # after[a]: the values that may follow a; levels[d][a]: the (value,
-    # scaled entry) pairs position d walks after a, one shared row when
-    # nothing is forbidden
-    after = {a: {c for c in vals if (a, c) not in forbidden} for a in vals} if forbidden else None
-    levels = [{None: [(first, first * scales[0])]}]
-    for s in scales[1 : n - 3]:
+    for s in tables:
         row = [(c, c * s) for c in vals]
-        levels.append(
-            {a: [ce for ce in row if ce[0] in after[a]] for a in vals}
-            if forbidden else dict.fromkeys(vals, row)
-        )
+        rows = {allowed: [ce for ce in row if ce[0] in allowed] for allowed in shared}
+        tables[s] = {a: rows[after[a]] for a in vals} if forbidden else dict.fromkeys(vals, row)
+    levels = [{None: [(first, first * scales[0])]}] + [tables[s] for s in scales[1 : n - 3]]
     s4, s3, sx, sy = scales[n - 4], scales[n - 3], scales[n - 2], scales[n - 1]
     # caps[d]: Kmax(n - 3 - d), the largest |p11| after position d that can
     # close (the frieze-cap lemma)
@@ -390,25 +419,34 @@ def _walk_stripe(send, *args):
 
 def _map_shards(run, shards, count, workers, limit):
     """(found, cut) for the first count shards, run(first, budget=...) giving
-    a shard's (found, spent): found holds the (coeffs, sign) pairs before
-    the cut in shard order; cut is (i, limit minus the total before i) for
-    the first shard i whose running total passes limit, else None.
+    a shard's (found, spent): found holds the (coeffs, sign) pairs of the
+    shards before the cut in shard order, flattened, and cut is (i, limit
+    minus the total before i) for the first shard i whose running total
+    passes limit, else None.  With one walker the parent walks every shard
+    in turn and holds one shard's result at a time.
 
-    The parent is one of W = min(workers, count, CPUs) walkers: worker w of
-    the W - 1 it starts walks stripe w, the shards i with owner(i) = min(i %
-    2W, 2W - 1 - i % 2W), and the parent stripe 0 (every shard, one at a
-    time, when W = 1).  Lemma (merge): each stripe is in shard order, so
-    reading shard i off stripe owner(i) for i = 0, 1, ... restores it.
-    Lemma (balance): when shard costs do not grow along the shards
-    (min-first over z), no stripe costs more than its blocks' first shards,
-    the dearest stripe of shards[w::W].  Lemma (cut): the running total up
-    to a shard is at least its walker's own total, and a finished shard's
-    charge does not depend on its budget.  So every shard before the cut has
-    its exact charge, one its walker never reached lies after the cut, and
-    one over its budget passes limit: every W cuts at the same shard with
-    the same nodes left, wasting at most W * limit nodes.  A worker that
-    exits without sending or with a nonzero exit code raises RuntimeError;
-    whatever raises, every worker is terminated and joined.
+    With W = min(workers, count, CPUs) > 1 walkers, the parent is one of
+    them: it starts W - 1 worker processes, and worker w walks stripe w and
+    sends back its list of shard results over its own one-way pipe, while
+    the parent walks stripe 0 (_stripe serves both).  Stripe w takes one
+    shard from each block of W consecutive shards, the shards i with
+    owner(i) = w, where owner(i) = min(i % 2W, 2W - 1 - i % 2W): i % W in
+    even blocks and W - 1 - i % W in odd ones.  Lemma (merge): shard i is
+    item i // W of stripe owner(i), since every stripe lists its shards in
+    block order, so reading i = 0, 1, ... back restores shard order and the
+    output does not depend on W.  Lemma (balance): when shard costs do not
+    grow along the shards, as in a min-first walk over z, every stripe costs
+    at most the sum of its blocks' first shards, the cost of stripe 0 of the
+    plain stripes shards[w::W].  Lemma (cut): each walker runs a shard on
+    what its own total leaves of limit and stops once that total passes it;
+    the running total up to a shard is at least its walker's own total, and
+    a finished shard's charge does not depend on its budget.  So every shard
+    before the cut has its exact charge, one its walker never reached lies
+    after the cut, and one over its budget passes limit: every W cuts at the
+    same shard with the same nodes left, wasting at most W * limit nodes.
+    A worker that exits without sending or with a nonzero exit code raises
+    RuntimeError, and no partial list is returned; whatever raises, every
+    worker is terminated and joined first.
     """
     walkers = max(1, min(workers, count, os.cpu_count() or 1))
     stripes = [_stripe(run, shards, count, walkers, 0, limit)]
@@ -496,35 +534,47 @@ def enumerate_quiddities(
     least entry is c, each once, so firsts selects the classes whose least
     entry is in it, in both modes; plain output is the union of those
     classes' orbits (see _collect).  Results are merged and re-sorted, so
-    worker count never changes the output.  WorkLimitExceeded names the
-    shard where work_limit cuts the sweep (_map_shards) and the nodes left;
-    as each shard costs at least 1, firsts is read no further than
-    work_limit + 1 shards.
+    worker count never changes the output.
+
+    A shard that walks pays v, its number of values, before it builds
+    anything, and one that walks nothing pays 1 (_run_shard), so a sweep of
+    S shards whose S least charges pass work_limit is refused up front, with
+    nothing finished, and firsts is read no further than one shard past
+    those the limit pays for.
+    forbidden may also be a function returning the pairs, called only once
+    the sweep is not refused (reducing_pairs is linear in v).  Otherwise
+    WorkLimitExceeded names the shard where work_limit cuts the sweep
+    (_map_shards) and the nodes left.
     """
     if size < 2:
         raise ValueError("enumeration needs size >= 2")
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
-    forbidden = frozenset(forbidden)
-    if any((b, a) not in forbidden for a, b in forbidden):
-        raise ValueError("forbidden pairs must be closed under swapping")
     vals = _coeff_values(gen, bound)
+    v = vals.stop - vals.start
+    if v > 1 and size > _MAX_WALK_SIZE:
+        raise WorkLimitExceeded(f"size {size} is deeper than the walker recurses: sizes above "
+                                f"{_MAX_WALK_SIZE} with two or more values are refused whatever the limit")
+    least = v if size >= 4 and v > 1 and _position_scales(gen, size, bound) is not None else 1
     if firsts is None:
-        shards, count = vals, min(vals.stop - vals.start, 1 if size == 2 else work_limit + 1)
+        shards, count = vals, 1 if size == 2 else v
     else:
-        shards = [c for _, c in zip(range(work_limit + 1), firsts)]
+        shards = [c for _, c in zip(range(work_limit // least + 1), firsts)]
         count = len(shards)
         if size == 2 or len(set(shards)) != count or not all(c in vals for c in shards):
             raise ValueError("first coefficients must be distinct and within the bound (size >= 3)")
-    if vals.stop - vals.start > 1 and size > _MAX_WALK_SIZE:
-        raise WorkLimitExceeded(f"size {size} is deeper than the walker recurses: sizes above "
-                                f"{_MAX_WALK_SIZE} with two or more values are refused whatever the limit")
+    if count * least > work_limit:
+        raise WorkLimitExceeded(f"each shard needs {least} or more nodes, and the limit "
+                                f"({work_limit}) pays for at most {work_limit // least}", state=((), []))
+    forbidden = frozenset(forbidden() if callable(forbidden) else forbidden)
+    if any((b, a) not in forbidden for a, b in forbidden):
+        raise ValueError("forbidden pairs must be closed under swapping")
     run = functools.partial(_run_shard, gen, size, bound, forbidden=forbidden)
     found, cut = _map_shards(run, shards, count, workers, work_limit)
     if cut is not None:
         i, left = cut
         message = f"shard {shards[i]} needs more than the {left} nodes left (limit {work_limit})"
-        raise WorkLimitExceeded(message, state=(tuple(shards[:i]), _collect(gen, found, True)))
+        raise WorkLimitExceeded(message, state=(tuple(shards[:i]), found))
     return _collect(gen, found, canonical_only)
 
 
@@ -698,7 +748,7 @@ def classify_irreducibles(
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
         found = enumerate_quiddities(
             gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            forbidden=reducing_pairs(gen, n, bound, PARITY_ANY),
+            forbidden=functools.partial(reducing_pairs, gen, n, bound, PARITY_ANY),
         )
         out += [q for q in found if is_irreducible(q)]
     return out

@@ -678,26 +678,58 @@ class TestConjectureSearchScript:
 
 
 class TestRefusedWithoutBuilding:
-    """A shard pays for its setup before it is built, so a sweep the limit
-    cannot pay for is cut before anything of its size is built, and the cut
-    always exits 3."""
+    """Every shard of a walked size pays for its v values before it builds
+    anything, so a sweep of more shards than the limit pays for at that
+    charge is refused up front, before even its shard list or forbidden
+    pairs are built, and one the limit cuts is cut before anything of the
+    cut shard's size is built; either exits 3."""
 
     @pytest.mark.parametrize(
-        "argv, pending",
-        [(["enumerate", "--gen", "z"], ""), (["even-search"], "600001 of 600001 shards still pending; ")],
-        ids=["enumerate", "even-search"],
+        "argv, pending, values, limit",
+        [
+            (["enumerate", "--gen", "z", "--size", "4", "--bound", "300000", "--work-limit", "1000"],
+             "", 600001, 1000),
+            (["even-search", "--size", "4", "--bound", "300000", "--work-limit", "1000"],
+             "600001 of 600001 shards still pending; ", 600001, 1000),
+            # under the default limit: a v-entry rank dict with v just under
+            # the limit, and a bound whose values and pairs no run can build
+            (["enumerate", "--gen", "z", "--size", "4", "--bound", "49999999"], "", 99999999, 10**8),
+            (["even-search", "--size", "6", "--bound", str(10**20)],
+             f"{2 * 10**20 + 1} of {2 * 10**20 + 1} shards still pending; ", 2 * 10**20 + 1, 10**8),
+        ],
+        ids=["enumerate", "even-search", "enumerate-default-limit", "even-search-default-limit"],
     )
-    def test_wide_bound_is_refused_without_building_it(self, argv, pending, capsys):
+    def test_wide_bound_is_refused_without_building_it(
+            self, argv, pending, values, limit, capsys, monkeypatch):
+        monkeypatch.delenv("QUIDDITY_WORK_LIMIT", raising=False)
         tracemalloc.start()
         try:
-            code, out = run_cli(*argv, "--size", "4", "--bound", "300000", "--work-limit", "1000")
+            code, out = run_cli(*argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 3 and out == ""
         assert peak < 1_000_000
         assert capsys.readouterr().err.startswith(
-            f"work limit: {pending}shard -300000 needs more than the 1000 nodes left (limit 1000)\n"
+            f"work limit: {pending}each shard needs {values} or more nodes, "
+            f"and the limit ({limit}) pays for at most {limit // values}\n"
+        )
+
+    def test_forbidden_pairs_build_no_table_per_level(self, capsys):
+        # shard -300 pays 601**2 for its after sets and walks until the limit
+        # is spent; one table of rows per distinct after set and scale, not
+        # 16 levels of 601 rows of 601 entries (some 70 MB)
+        tracemalloc.start()
+        try:
+            code, out = run_cli("even-search", "--size", "20", "--bound", "300", "--work-limit", "500000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert peak < 2_000_000
+        assert capsys.readouterr().err.startswith(
+            "work limit: 601 of 601 shards still pending; "
+            "shard -300 needs more than the 500000 nodes left (limit 500000)\n"
         )
 
     def test_bound_beyond_machine_integers_exits_3(self, capsys):
@@ -707,7 +739,7 @@ class TestRefusedWithoutBuilding:
         )
         assert code == 3 and out == ""
         err = capsys.readouterr().err
-        assert f"shard {-bound} needs more than the 1000 nodes left (limit 1000)" in err
+        assert f"each shard needs {2 * bound + 1} or more nodes, and the limit (1000) pays for at most 0" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
