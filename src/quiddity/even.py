@@ -14,7 +14,6 @@ search walks only tuples with no adjacent pair that such a window rules out.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .solve import (
     NotAQuiddityError,
     WorkLimitExceeded,
     enumerate_quiddities,
-    reducing_pairs,
 )
 
 MODE_STRICT = "strict"
@@ -62,9 +60,9 @@ def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
     continuant +-1.  At n = 4 the range is empty: both verdicts are False.
     At L = 2, K(a, b) = a*b - 1, so an evenly irreducible tuple of size >= 6
     has no entry 0 and no cyclically adjacent pair with product 2
-    (solve.reducing_pairs with parity even).  Over z:-1 the elements are
-    -t, and negation keeps the continuant of an even-length window, so the
-    rule reads t alike.
+    (solve.reducing_rule with parity even: 0 excluded, and 1 and 2, -1 and
+    -2 partners).  Over z:-1 the elements are -t, and negation keeps the
+    continuant of an even-length window, so the rule reads t alike.
     """
     n = len(t)
     # two entries per step: (k_prev, k) becomes (x, b*x - k), x = a*k - k_prev
@@ -268,11 +266,12 @@ def search_evenly_irreducible(
 
     Returns (results, final_state).  Shards are swept in ascending order of
     their coefficient c, and shard c yields the classes whose least entry is
-    c (the min-first walk of enumerate_quiddities).  Up to equivalence at
-    size >= 6 the walk leaves out every class with a cyclically adjacent
-    pair of reducing_pairs(z, size, bound, "even"), none of which is evenly
-    irreducible (the window rule, _window_verdicts); the pairs are closed
-    under swapping, so the walk still yields each remaining class once.
+    c (the min-first walk of enumerate_quiddities).  Up to equivalence the
+    walk runs with prune=PARITY_EVEN: at size >= 6 it leaves out every class
+    with a cyclically adjacent pair of reducing_rule(z, size, bound, "even"),
+    none of which is evenly irreducible (the window rule, _window_verdicts);
+    the pairs are closed under swapping, so the walk still yields each
+    remaining class once.
     Strict mode and size 4 walk every class.  Each class walked gets its
     verdicts from the window rule (_window_verdicts), so strict mode tests
     the canonical representative.  Strict mode records the strictly irreducible classes
@@ -303,7 +302,7 @@ def search_evenly_irreducible(
         found = enumerate_quiddities(
             _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
             firsts=(c for c in range(-bound, bound + 1) if c not in done),
-            forbidden=() if strict else functools.partial(reducing_pairs, _Z, size, bound, PARITY_EVEN),
+            prune=None if strict else PARITY_EVEN,
         )
         cut, finished, pairs = None, range(-bound, bound + 1), [(q.coeffs, q.sign) for q in found]
     except WorkLimitExceeded as exc:

@@ -17,9 +17,10 @@ is min-first (the shard of first coefficient c walks only coefficients
 ranked at or above c) and keeps a leaf only when it is its own canonical
 form, so each class comes out once, from the shard of its least entry, with
 no dedupe pass (see _run_shard).  Plain enumeration expands each class to
-its dihedral orbit (see _collect).  A set of forbidden adjacent pairs,
-closed under swapping, restricts every row of the walk to the values that
-may follow the previous entry, which keeps whole classes (see _run_shard).
+its dihedral orbit (see _collect).  With prune set to a parity, the walk
+leaves out the values the reducing rule of that parity excludes, and each
+row the one partner of the previous entry, which keeps whole classes (see
+_run_shard).
 Two more lemmas prune the walk: a prefix whose continuant exceeds what its
 complementary window can reach never closes (the frieze cap), and at the
 last walked position at most four entries leave the third-from-last
@@ -42,7 +43,7 @@ RingElem/Mat2 route serves only verification and the test suite's oracles.
 The scan's shortest windows give a rule that needs no scan at all: a class
 with a cyclically adjacent pair (c1, c2) whose scaled window of two has
 continuant +-1, i.e. c1*c2 times the pair's scale product in {0, 2}, or
-over <+-1> an entry +-1, is reducible (see reducing_pairs).  Classification
+over <+-1> an entry +-1, is reducible (see reducing_rule).  Classification
 and even-search walk only the classes free of such pairs, and scan those.
 """
 
@@ -53,7 +54,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .core import Quiddity, canonical_coeffs, coeff_ranks, dihedral_orbit
+from .core import Quiddity, canonical_coeffs, coeff_ranks
 from .rings import GeneratorSpec
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -191,27 +192,20 @@ def _complete(p11, p12, p21, p22, sx, sy, limit, nonneg):
     return kx, ky, eps
 
 
-def _pair_free(found, forbidden):
-    """The (coeffs, sign) pairs of found with no cyclically adjacent pair in
-    forbidden."""
-    return [(t, eps) for t, eps in found
-            if not any((t[j - 1], t[j]) in forbidden for j in range(len(t)))]
-
-
-def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
+def _run_shard(gen, n, bound, first, prune=None, budget=math.inf):
     """(found, spent): the canonical forms of the classes whose least entry
     is `first`, each once, with their signs (at n = 2 the one class, for any
-    first), keeping only the classes with no cyclically adjacent pair in
-    forbidden, and the shard's work charge; once spent passes budget the
-    walk stops, and found is None if it stopped early.
+    first), keeping, when prune is a parity, only the classes with no
+    cyclically adjacent pair of reducing_rule(gen, n, bound, prune), and the
+    shard's work charge; once spent passes budget the walk stops, and found
+    is None if it stopped early.
 
-    Work charge: v values for the rank dict; with pairs forbidden, v'**2
-    (v' the values ranked at or above first) for the after sets, each built
-    by a scan of v' values; then per distinct scale of the walked levels v'
-    for its table, plus the total length of its rows when pairs are
-    forbidden; each is paid before it is built.  Each walked node adds the
-    length of its row, and a whole-level third-from-last entry v'.  A shard
-    with no walk costs 1.
+    Work charge: v values for the rank dict, after which a shard whose first
+    entry is excluded stops; then per distinct scale of the walked levels v'
+    (the values ranked at or above first and not excluded) for its row, plus
+    the length of each partner row; each is paid before it is built.  Each
+    walked node adds the length of its row, and a whole-level third-from-last
+    entry v'.  A shard with no walk costs 1.
 
     One integer walker serves every ring through _position_scales: from the
     fixed first coefficient, positions 1 .. n-5 are walked depth first on
@@ -260,7 +254,8 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
     When a position takes one coefficient value (the zero generator, or
     bound 0), every entry is 0, and M(0)**2 = -Id, so the only solutions
     are the zero tuples of even size, with sign (-1)**(n/2); no walk is
-    made, whatever the size.
+    made, whatever the size.  A zero tuple is pair-free unless 0 is excluded
+    (no partner is keyed by 0), and below n = 4 the rule is empty.
 
     Lemma (min-first).  The canonical form of a class starts at an entry of
     least rank (canonical_coeffs), so it is a solution, inside the bound,
@@ -280,58 +275,54 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
     position 0, (t[0], t[-1], ...), is smaller than t, so t is not
     canonical.
 
-    Lemma (pair-free space).  Let forbidden be a set of coefficient pairs
-    closed under swapping, and call a tuple pair-free when no cyclically
-    adjacent pair (t[j-1], t[j]), j mod n, lies in it.  A rotation keeps the
+    Lemma (pair-free space).  Let (excluded, partner) be the reducing rule,
+    whose pairs {(a, b) : a or b excluded, or partner[a] = b} are closed
+    under swapping, and call a tuple pair-free when no cyclically adjacent
+    pair (t[j-1], t[j]), j mod n, is one of them.  A rotation keeps the
     cyclic adjacencies and a reflection reverses each of them, so the
-    pair-free tuples are a union of dihedral classes.  Each walked entry
-    comes from the row of its predecessor (after), and the leaf tests the
-    solved entry, both completed entries and the wrap-around pair (t[-1],
-    t[0]) the same way, so the walk meets exactly the pair-free tuples that
-    min-first meets.  A pair-free class contains its canonical form, so by
-    the canonical-leaf lemma each pair-free class comes out once and no
-    other class does.  With nothing forbidden every row is the same and the
-    leaf makes no pair test.
+    pair-free tuples are a union of dihedral classes.  The rank dict holds
+    no excluded value, each walked entry comes from the row of its
+    predecessor, which lacks the predecessor's partner, and the leaf tests
+    the solved entry, both completed entries and the wrap-around pair
+    (t[-1], t[0]) against partner the same way, so the walk meets exactly
+    the pair-free tuples that min-first meets.  A pair-free class contains
+    its canonical form, so by the canonical-leaf lemma each pair-free class
+    comes out once and no other class does.  Without prune nothing is
+    excluded and no value has a partner.
     """
+    excluded, partner = reducing_rule(gen, n, bound, prune) if prune else ((), {})
     every = _coeff_values(gen, bound)
     if every.stop - every.start == 1:  # every entry is 0
-        return ([] if n % 2 else _pair_free([((0,) * n, (-1) ** (n // 2))], forbidden)), 1
+        return ([] if n % 2 or 0 in excluded else [((0,) * n, (-1) ** (n // 2))]), 1
     scales = _position_scales(gen, n, bound)
     if scales is None:
         return [], 1
     if n == 2:
-        return _pair_free([((0, 0), -1)], forbidden), 1
+        return [((0, 0), -1)], 1
     if n == 3:
         e = first * scales[0]
-        return _pair_free([((first,) * 3, -e)] if e in (1, -1) else [], forbidden), 1
+        return ([((first,) * 3, -e)] if e in (1, -1) else []), 1
     spent = every.stop - every.start
     if spent > budget:
         return None, spent
+    if first in excluded:
+        return [], spent
     low = coeff_ranks((first,), gen)[0]
-    rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low}
+    rank = {c: r for c, r in zip(every, coeff_ranks(every, gen)) if r >= low and c not in excluded}
     vals = tuple(rank)
     w = len(vals)
-    # after[a]: the values that may follow a, one set shared by equal ones;
     # tables[s][a]: the (value, scaled entry) pairs a walked position of
-    # scale s takes after a, one row per after set (one row when nothing is
-    # forbidden), shared by every level of that scale
-    after, shared = None, {}
-    if forbidden:
-        spent += w * w
-        if spent > budget:
-            return None, spent
-        after = {}
-        for a in vals:
-            allowed = frozenset(c for c in vals if (a, c) not in forbidden)
-            after[a] = shared.setdefault(allowed, allowed)
+    # scale s takes after a: one row shared by every level of that scale,
+    # and for each partner a that row minus partner[a]
+    partner = {a: b for a, b in partner.items() if a in rank}
     tables = dict.fromkeys(scales[1 : n - 3])
-    spent += len(tables) * (w + sum(map(len, shared)))
+    spent += len(tables) * (w + sum(w - (b in rank) for b in partner.values()))
     if spent > budget:
         return None, spent
     for s in tables:
         row = [(c, c * s) for c in vals]
-        rows = {allowed: [ce for ce in row if ce[0] in allowed] for allowed in shared}
-        tables[s] = {a: rows[after[a]] for a in vals} if forbidden else dict.fromkeys(vals, row)
+        tables[s] = {a: [ce for ce in row if ce[0] != partner[a]] if a in partner else row
+                     for a in vals}
     levels = [{None: [(first, first * scales[0])]}] + [tables[s] for s in scales[1 : n - 3]]
     s4, s3, sx, sy = scales[n - 4], scales[n - 3], scales[n - 2], scales[n - 1]
     # caps[d]: Kmax(n - 3 - d), the largest |p11| after position d that can
@@ -342,7 +333,7 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
         kmax.append(big * kmax[-1] + kmax[-2])
     caps = kmax[:0:-1]
     found = []
-    emit = found.append
+    emit, get = found.append, partner.get
 
     def rec(depth, prefix, last, p11, p12, p21, p22):
         nonlocal spent
@@ -354,8 +345,8 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
             d, lo, hi = s4 * p11, p21 - r, p21 + r
             if d < 0:
                 d, lo, hi = -d, -hi, -lo
-            allowed = after[last] if forbidden else rank
-            row = [(c, c * s4) for c in range(-(-lo // d), hi // d + 1) if c in allowed]
+            skip = get(last)
+            row = [(c, c * s4) for c in range(-(-lo // d), hi // d + 1) if c in rank and c != skip]
         spent += len(row)
         if spent > budget:
             raise WorkLimitExceeded(first)
@@ -384,9 +375,8 @@ def _run_shard(gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
                 if x % sx or y % sy:
                     continue
                 kx, ky = x // sx, y // sy
-                if c3 in rank and kx in rank and ky in rank and (not forbidden or (
-                        c3 in after[c] and kx in after[c3] and ky in after[kx]
-                        and first in after[ky])):
+                if (c3 in rank and kx in rank and ky in rank and get(c) != c3
+                        and get(c3) != kx and get(kx) != ky and get(ky) != first):
                     t = prefix + (c, c3, kx, ky)
                     if rank[t[1]] <= rank[ky] and canonical_coeffs(t, gen) == t:
                         emit((t, -r11))
@@ -501,13 +491,23 @@ def _collect(gen, found, canonical_only):
     moves permute the entries, so they keep every |c| <= B and c >= 0, and
     each orbit stays inside the bounded space: the classes' orbits are
     disjoint and their union is every solution there.
+
+    Lemma (period).  The rotations of t that equal t are the multiples of
+    its least period p, a divisor of n, so t has exactly p distinct
+    rotations, its first p, and so has its reversal: the orbit is built from
+    those 2p tuples, never from all 2n.
     """
     ranks = functools.partial(coeff_ranks, gen=gen)
     found.sort(key=lambda pair: ranks(pair[0]))
     if canonical_only:
         return [Quiddity(gen, cc, eps) for cc, eps in found]
-    return [Quiddity(gen, t, eps) for cc, eps in found
-            for t in sorted(set(dihedral_orbit(cc)), key=ranks)]
+    out = []
+    for cc, eps in found:
+        n = len(cc)
+        p = next(p for p in range(1, n + 1) if n % p == 0 and cc[p:] + cc[:p] == cc)
+        orbit = {u[i:] + u[:i] for u in (cc, cc[::-1]) for i in range(p)}
+        out += [Quiddity(gen, t, eps) for t in sorted(orbit, key=ranks)]
+    return out
 
 
 def enumerate_quiddities(
@@ -519,14 +519,15 @@ def enumerate_quiddities(
     work_limit: int = DEFAULT_WORK_LIMIT,
     workers: int = 1,
     firsts=None,
-    forbidden=frozenset(),
+    prune=None,
 ):
     """Every verified tuple of the given size over gen with |k_j| <= bound
     (0 <= k_j <= bound for nonneg generators), or with canonical_only one
-    canonical form per dihedral class, deterministically sorted.  forbidden
-    is a set of coefficient pairs closed under swapping, and the tuples with
-    a cyclically adjacent pair in it are left out, whole classes at a time
-    (the pair-free lemma of _run_shard).
+    canonical form per dihedral class, deterministically sorted.  prune is
+    None, PARITY_ANY or PARITY_EVEN; with a parity, the tuples with a
+    cyclically adjacent pair of reducing_rule(gen, size, bound, prune), all
+    split by find_decomposition with that parity, are left out, whole
+    classes at a time (the pair-free lemma of _run_shard).
 
     Sharded on the first coefficient (all values, or the distinct ones in
     the iterable firsts, in its order).  Shard c walks min-first (see
@@ -540,16 +541,15 @@ def enumerate_quiddities(
     anything, and one that walks nothing pays 1 (_run_shard), so a sweep of
     S shards whose S least charges pass work_limit is refused up front, with
     nothing finished, and firsts is read no further than one shard past
-    those the limit pays for.
-    forbidden may also be a function returning the pairs, called only once
-    the sweep is not refused (reducing_pairs is linear in v).  Otherwise
-    WorkLimitExceeded names the shard where work_limit cuts the sweep
-    (_map_shards) and the nodes left.
+    those the limit pays for.  Otherwise WorkLimitExceeded names the shard
+    where work_limit cuts the sweep (_map_shards) and the nodes left.
     """
     if size < 2:
         raise ValueError("enumeration needs size >= 2")
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
+    if prune not in (None, PARITY_ANY, PARITY_EVEN):
+        raise ValueError(f"unknown prune parity {prune!r}")
     vals = _coeff_values(gen, bound)
     v = vals.stop - vals.start
     if v > 1 and size > _MAX_WALK_SIZE:
@@ -566,10 +566,7 @@ def enumerate_quiddities(
     if count * least > work_limit:
         raise WorkLimitExceeded(f"each shard needs {least} or more nodes, and the limit "
                                 f"({work_limit}) pays for at most {work_limit // least}", state=((), []))
-    forbidden = frozenset(forbidden() if callable(forbidden) else forbidden)
-    if any((b, a) not in forbidden for a, b in forbidden):
-        raise ValueError("forbidden pairs must be closed under swapping")
-    run = functools.partial(_run_shard, gen, size, bound, forbidden=forbidden)
+    run = functools.partial(_run_shard, gen, size, bound, prune=prune)
     found, cut = _map_shards(run, shards, count, workers, work_limit)
     if cut is not None:
         i, left = cut
@@ -676,10 +673,11 @@ def is_irreducible(q: Quiddity) -> bool:
     return find_decomposition(q) is None
 
 
-def reducing_pairs(gen: GeneratorSpec, size: int, bound: int, parity: str) -> frozenset:
-    """The coefficient pairs, closed under swapping, whose cyclic adjacency
-    makes a verified size-`size` tuple over gen with |c| <= bound reducible:
-    find_decomposition(q, parity) finds a witness for every such tuple.
+def reducing_rule(gen: GeneratorSpec, size: int, bound: int, parity: str):
+    """(excluded, partner): the rule whose cyclic adjacencies make a verified
+    size-`size` tuple over gen with |c| <= bound reducible.  Its pairs are
+    {(a, b) : a or b excluded, or partner[a] = b}, closed under swapping,
+    and find_decomposition(q, parity) finds a witness for every such tuple.
 
     Lemma (pairs).  Rotate the pair (c1, c2) to the last two positions m =
     n - 2 and n - 1.  _scan_representative meets the window rep[m:] of
@@ -695,36 +693,37 @@ def reducing_pairs(gen: GeneratorSpec, size: int, bound: int, parity: str) -> fr
     and the left summand verifies by the splice lemma.  Both summands need
     size >= 3 (size >= 4 for parity even), so this needs n >= 5 for parity
     any and an even n >= 6 for parity even (the scan skips windows that
-    start at an odd position otherwise).
+    start at an odd position otherwise).  So 0 is excluded, and c1*c2*sigma
+    = 2 pairs c1 = q/sigma with c2 = 2/q for each q in +-1, +-2 that sigma
+    divides: at most four partners, none keyed by 0 (sigma = 0 only for the
+    zero generator, which has none).  The partner of 2/q is q/sigma, by the
+    same rule with q' = 2*sigma/q, so the pairs are closed under swapping.
 
     Lemma (single entries).  The window of length L = 1 at m = n - 1 (right
     size 3, parity any) is one entry e = c*s with K(e) = e, and fires when e
     = +-1, which happens only over <+-1>; the completion gives c at both
     ends.  A tuple holding c is then reducible whatever its neighbours, so
-    the rule adds (c, x) and (x, c) for every x.  This needs n >= 4.
+    the rule excludes c.  This needs n >= 4.
 
-    +nonneg generators get no pairs: the completion can leave the left
+    +nonneg generators get nothing: the completion can leave the left
     summand a negative boundary entry, which the scan refuses.  Sizes with
-    no solutions (odd n over a quadratic ring or <X>) get none either.
+    no solutions (odd n over a quadratic ring or <X>) get nothing either.
     """
     if parity not in (PARITY_ANY, PARITY_EVEN):
         raise ValueError(f"unknown parity {parity!r}")
     scales = _position_scales(gen, size, bound)
+    excluded, partner = set(), {}
     if gen.nonneg or scales is None:
-        return frozenset()
-    values = _coeff_values(gen, bound)
-    pairs = set()
+        return frozenset(), partner
     if size >= 5 and parity == PARITY_ANY or size >= 6 and size % 2 == 0:
-        sigma = scales[-2] * scales[-1]  # nonzero unless 0 is the one value
-        for a in values:  # a*b*sigma = 0 needs a 0, and = 2 the one b = 2/(a*sigma)
-            pairs.update(((a, 0), (0, a)))
-            if a and 2 % (a * sigma) == 0 and 2 // (a * sigma) in values:
-                pairs.add((a, 2 // (a * sigma)))
+        excluded.add(0)
+        sigma = scales[-2] * scales[-1]
+        for q in (1, -1, 2, -2):
+            if sigma and q % sigma == 0:
+                partner[q // sigma] = 2 // q
     if size >= 4 and parity == PARITY_ANY and gen.ring[0] == "int":
-        for c in values:
-            if c * scales[-1] in (1, -1):
-                pairs.update(pair for x in values for pair in ((c, x), (x, c)))
-    return frozenset(pairs)
+        excluded.update(c for c in (1, -1) if c * scales[-1] in (1, -1))
+    return frozenset(excluded), partner
 
 
 def classify_irreducibles(
@@ -737,18 +736,19 @@ def classify_irreducibles(
 ):
     """Canonical irreducible tuples for every size in [min_size, max_size].
 
-    Each size walks only the classes with no cyclically adjacent pair of
-    reducing_pairs, each of which find_decomposition splits (its lemmas),
-    so the walk leaves out reducible classes only, whole classes at a time
-    (the pair-free lemma of _run_shard); every class walked is then
-    decided by is_irreducible.  Each size is charged against the whole
-    work limit (enumerate_quiddities).
+    Each size walks with prune=PARITY_ANY, so only the classes with no
+    cyclically adjacent pair of reducing_rule, each of which
+    find_decomposition splits (its lemmas): the walk leaves out reducible
+    classes only, whole classes at a time (the pair-free lemma of
+    _run_shard); every class walked is then decided by is_irreducible.
+    Each size is charged against the whole work limit
+    (enumerate_quiddities).
     """
     out = []
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
         found = enumerate_quiddities(
             gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            forbidden=functools.partial(reducing_pairs, gen, n, bound, PARITY_ANY),
+            prune=PARITY_ANY,
         )
         out += [q for q in found if is_irreducible(q)]
     return out

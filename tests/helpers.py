@@ -191,13 +191,13 @@ def brute_enumerate(gen, n, bound):
 _RUN_SHARD, _WALK_STRIPE = solve._run_shard, solve._walk_stripe
 
 
-def shard_raising_at(bad, gen, n, bound, first, forbidden=frozenset(), budget=math.inf):
+def shard_raising_at(bad, gen, n, bound, first, prune=None, budget=math.inf):
     """solve._run_shard, except that shard bad raises ArithmeticError: bound
     with functools.partial, it stands in for a shard that fails inside one
     walker of a pool (module level, so every start method can pickle it)."""
     if first == bad:
         raise ArithmeticError(f"shard {bad}")
-    return _RUN_SHARD(gen, n, bound, first, forbidden, budget)
+    return _RUN_SHARD(gen, n, bound, first, prune, budget)
 
 
 def walk_stripe_then_exit(send, *args):
@@ -211,8 +211,24 @@ def shard_charges(size, bound, mode="up-to-equivalence"):
     """The work charge of each shard of even-search at (size, bound, mode),
     in shard order: what the kernel charges the work limit for it."""
     z = GeneratorSpec("int", 1)
-    forbidden = solve.reducing_pairs(z, size, bound, "even") if mode != "strict" else frozenset()
-    return [solve._run_shard(z, size, bound, c, forbidden)[1] for c in range(-bound, bound + 1)]
+    prune = None if mode == "strict" else "even"
+    return [solve._run_shard(z, size, bound, c, prune)[1] for c in range(-bound, bound + 1)]
+
+
+def reducing_pair_set(gen, n, bound, parity):
+    """The pairs of coefficients within the bound that solve.reducing_rule
+    stands for: (a, b) with a or b excluded, or partner[a] = b."""
+    excluded, partner = solve.reducing_rule(gen, n, bound, parity)
+    values = solve._coeff_values(gen, bound)
+    return {(a, b) for a in values for b in values
+            if a in excluded or b in excluded or partner.get(a) == b}
+
+
+def pair_free(tuples, pairs):
+    """The (coeffs, sign) pairs of tuples with no cyclically adjacent pair in
+    pairs."""
+    return {(c, eps) for c, eps in tuples
+            if all((c[j - 1], c[j]) not in pairs for j in range(len(c)))}
 
 
 def full_walk_shard(gen, n, bound, first):

@@ -680,9 +680,9 @@ class TestConjectureSearchScript:
 class TestRefusedWithoutBuilding:
     """Every shard of a walked size pays for its v values before it builds
     anything, so a sweep of more shards than the limit pays for at that
-    charge is refused up front, before even its shard list or forbidden
-    pairs are built, and one the limit cuts is cut before anything of the
-    cut shard's size is built; either exits 3."""
+    charge is refused up front, before even its shard list is built, and
+    one the limit cuts is cut before anything of the cut shard's size is
+    built; either exits 3."""
 
     @pytest.mark.parametrize(
         "argv, pending, values, limit",
@@ -715,10 +715,10 @@ class TestRefusedWithoutBuilding:
             f"and the limit ({limit}) pays for at most {limit // values}\n"
         )
 
-    def test_forbidden_pairs_build_no_table_per_level(self, capsys):
-        # shard -300 pays 601**2 for its after sets and walks until the limit
-        # is spent; one table of rows per distinct after set and scale, not
-        # 16 levels of 601 rows of 601 entries (some 70 MB)
+    def test_pruned_walk_builds_no_table_per_level(self, capsys):
+        # shard -300 pays for its rank dict and its one table (a row and one
+        # row per partner) and walks until the limit is spent, not for 16
+        # levels of 601 rows of 601 entries (some 70 MB)
         tracemalloc.start()
         try:
             code, out = run_cli("even-search", "--size", "20", "--bound", "300", "--work-limit", "500000")
@@ -774,6 +774,20 @@ class TestDeepSizes:
         if count:  # M(0)**2 = -Id: the zero tuple of size 2000 has sign +1
             (item,) = payload["items"]
             assert item["coeffs"] == [0] * 2000 and item["sign"] == 1
+
+    @pytest.mark.parametrize("gen", ["z", "z:0"])
+    def test_a_zero_tuple_expands_without_its_repeats(self, gen):
+        # the zero tuple of size 4000 has one distinct rotation: its orbit is
+        # built from 2 tuples, not from 8000 of 4000 entries (some 256 MB)
+        tracemalloc.start()
+        try:
+            code, out = run_cli("enumerate", "--gen", gen, "--size", "4000", "--bound", "0",
+                                "--work-limit", "5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["items"][0]["coeffs"] == [0] * 4000
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize(
         "argv",

@@ -27,9 +27,7 @@ from quiddity import solve
 from quiddity.audits import link_probe
 from quiddity.cli import main
 from quiddity.even import MODES, _window_verdicts
-from quiddity.solve import reducing_pairs
-
-from helpers import generic_decomposition, shard_charges
+from helpers import generic_decomposition, reducing_pair_set, shard_charges
 
 Z = GeneratorSpec.from_string("z")
 # every even size up to 10 at every bound up to 3, and one wider bound
@@ -197,11 +195,10 @@ class TestWindowRule:
         assert results == [] and state.found == () and state.complete
 
     @pytest.mark.parametrize("bound", range(5))
-    def test_forbidden_pairs_are_the_unit_windows_of_length_two(self, bound):
+    def test_reducing_pairs_are_the_unit_windows_of_length_two(self, bound):
         values = range(-bound, bound + 1)
-        pairs = reducing_pairs(Z, 8, bound, "even")
-        got = {(a, b) for a, b in pairs if abs(a) <= bound and abs(b) <= bound}
-        assert got == {(a, b) for a in values for b in values if a * b - 1 in (1, -1)}
+        pairs = reducing_pair_set(Z, 8, bound, "even")
+        assert pairs == {(a, b) for a in values for b in values if a * b - 1 in (1, -1)}
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size, bound", EVEN_SPACES)

@@ -36,7 +36,7 @@ from quiddity import (
 from quiddity import solve
 from quiddity.audits import check_two_small_entries
 from quiddity.core import coeff_ranks
-from quiddity.solve import predicted_nodes, reducing_pairs
+from quiddity.solve import predicted_nodes, reducing_rule
 
 from helpers import (
     GENERATORS,
@@ -51,7 +51,9 @@ from helpers import (
     full_walk_shard,
     generic_decomposition,
     kernel_tail,
+    pair_free,
     prefix_matrix,
+    reducing_pair_set,
     shard_raising_at,
     solve_tail2,
     third_entries,
@@ -319,14 +321,14 @@ class TestEnumerate:
         # at n >= 5 the walk's charge never passes count * predicted_nodes(v,
         # levels), the full prefix tree the limit was once priced at: a full
         # sweep, and the shards past each least-ranked run of them as firsts
-        # (the pending shards of a resumed sweep), with no pairs forbidden
-        # and with the reducing pairs of either parity
+        # (the pending shards of a resumed sweep), unpruned and pruned by
+        # the reducing rule of either parity
         for n in range(5, 10):
             for bound in range(4):
                 vals = solve._coeff_values(gen, bound)
                 order = sorted(vals, key=lambda c: coeff_ranks((c,), gen))
-                for pairs in (frozenset(), *(reducing_pairs(gen, n, bound, p) for p in ("any", "even"))):
-                    charge = {c: solve._run_shard(gen, n, bound, c, pairs)[1] for c in vals}
+                for prune in (None, "any", "even"):
+                    charge = {c: solve._run_shard(gen, n, bound, c, prune)[1] for c in vals}
                     total = sum(charge.values())
                     assert total <= predicted_nodes(len(vals), n)
                     for k in range(len(order)):
@@ -334,7 +336,7 @@ class TestEnumerate:
                         assert sum(charge[c] for c in pending) <= len(pending) * predicted_nodes(
                             len(vals), n - 1)
                     # the sweep is cut exactly where its charges pass the limit
-                    sweep = functools.partial(enumerate_quiddities, gen, n, bound, forbidden=pairs)
+                    sweep = functools.partial(enumerate_quiddities, gen, n, bound, prune=prune)
                     assert sweep(work_limit=total) == sweep()
                     with pytest.raises(WorkLimitExceeded):
                         sweep(work_limit=total - 1)
@@ -398,35 +400,40 @@ class TestKernel:
 
     @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
     def test_pair_free_walk_keeps_exactly_the_pair_free_tuples(self, gen):
-        # closed under swapping, with values forbidden next to themselves and
-        # next to others, so the rows differ with the previous entry
-        forbidden = {(1, 1), (0, 2), (2, 0), (-1, 2), (2, -1), (-2, -2)}
+        # the walk pruned by the reducing rule of either parity keeps
+        # exactly the full walk's tuples with no adjacent pair of the rule
         for n in range(2, 7 if gen.ring[0] == "poly" else 8):
             for bound in range(4):
                 tuples = set()
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
                     tuples.update(full_walk_shard(gen, n, bound, first))
-                want = {(c, eps) for c, eps in tuples
-                        if all((c[j - 1], c[j]) not in forbidden for j in range(n))}
-                got = [(q.coeffs, q.sign)
-                       for q in enumerate_quiddities(gen, n, bound, forbidden=forbidden)]
-                assert set(got) == want and len(got) == len(want)
-                classes = [(q.coeffs, q.sign) for q in enumerate_quiddities(
-                    gen, n, bound, canonical_only=True, forbidden=forbidden)]
-                assert set(classes) == {(canonical_coeffs(c, gen), eps) for c, eps in want}
-                assert len(classes) == len(set(classes))
+                for parity in ("any", "even"):
+                    want = pair_free(tuples, reducing_pair_set(gen, n, bound, parity))
+                    got = [(q.coeffs, q.sign)
+                           for q in enumerate_quiddities(gen, n, bound, prune=parity)]
+                    assert set(got) == want and len(got) == len(want), (n, bound, parity)
+                    classes = [(q.coeffs, q.sign) for q in enumerate_quiddities(
+                        gen, n, bound, canonical_only=True, prune=parity)]
+                    assert set(classes) == {(canonical_coeffs(c, gen), eps) for c, eps in want}
+                    assert len(classes) == len(set(classes))
 
     def test_pair_free_closed_forms_and_preconditions(self):
-        assert enumerate_quiddities(Z, 2000, 0, forbidden={(0, 0)}) == []
-        assert enumerate_quiddities(Z, 2, 3, forbidden={(0, 0)}) == []
-        assert [q.coeffs for q in enumerate_quiddities(Z, 3, 1, forbidden={(1, 1)})] == [
-            (-1, -1, -1)
+        # bound 0 leaves the zero tuples, whose pair (0, 0) the rule holds
+        # at n >= 5 for parity any and at even n >= 6 for parity even
+        assert enumerate_quiddities(Z, 2000, 0, prune="any") == []
+        assert enumerate_quiddities(GeneratorSpec.from_string("z:0"), 6, 3, prune="even") == []
+        for parity in ("any", "even"):
+            assert [q.coeffs for q in enumerate_quiddities(Z, 4, 0, prune=parity)] == [(0,) * 4]
+        # below n = 4 the rule is empty
+        assert [q.coeffs for q in enumerate_quiddities(Z, 2, 3, prune="any")] == [(0, 0)]
+        assert [q.coeffs for q in enumerate_quiddities(Z, 3, 1, prune="any")] == [
+            (-1, -1, -1), (1, 1, 1)
         ]
-        with pytest.raises(ValueError, match="closed under swapping"):
-            enumerate_quiddities(Z, 6, 2, forbidden={(1, 2)})
-        forbidden = {(0, c) for c in range(-3, 4)} | {(c, 0) for c in range(-3, 4)}
+        for prune in ("odd", "", True):
+            with pytest.raises(ValueError, match="prune"):
+                enumerate_quiddities(Z, 6, 2, prune=prune)
         serial, pooled = (
-            enumerate_quiddities(Z, 8, 3, canonical_only=True, workers=w, forbidden=forbidden)
+            enumerate_quiddities(Z, 8, 3, canonical_only=True, workers=w, prune="even")
             for w in (1, 2)
         )
         assert serial == pooled and serial
@@ -510,14 +517,13 @@ class TestPruningLemmas:
         for m in (5, 6, 7):
             prefix = ((bound, -bound) * n)[:m]
             assert abs(continuant_rec(prefix).rational_value()) == kmax[m] > kmax[n - m - 2]
-        forbidden = reducing_pairs(Z, n, bound, "even")
+        pairs = reducing_pair_set(Z, n, bound, "even")
         for first in range(-bound, bound + 1):
             classes = {(canonical_coeffs(c, Z), eps)
                        for c, eps in full_walk_shard(Z, n, bound, first) if min(c) >= first}
-            pair_free = {(c, eps) for c, eps in classes
-                         if all((c[j - 1], c[j]) not in forbidden for j in range(n))}
             assert sorted(solve._run_shard(Z, n, bound, first)[0]) == sorted(classes)
-            assert sorted(solve._run_shard(Z, n, bound, first, forbidden)[0]) == sorted(pair_free)
+            assert sorted(solve._run_shard(Z, n, bound, first, "even")[0]) == sorted(
+                pair_free(classes, pairs))
 
     def test_odd_sizes_have_no_solution_over_the_formal_symbol(self):
         # the grid at (7, 2) takes about 25 s, so size 7 stops at bound 1
@@ -646,10 +652,10 @@ REDUCING_GENERATORS = [
 REDUCING_SPACES = [(n, b) for b in (1, 2) for n in range(3, 10)] + [(n, 3) for n in range(3, 9)]
 
 
-class TestReducingPairs:
-    """reducing_pairs against the scan it stands for: every class holding a
-    pair has a witness, and the pair-free classify walk finds exactly the
-    irreducible classes of the unpruned one."""
+class TestReducingRule:
+    """reducing_rule against the scan it stands for: every class holding one
+    of its pairs has a witness, and the pair-free classify walk finds
+    exactly the irreducible classes of the unpruned one."""
 
     @pytest.mark.parametrize("gen", REDUCING_GENERATORS, ids=lambda g: g.to_string())
     def test_pruned_classify_equals_the_unpruned_walk_with_the_scan(self, gen):
@@ -658,16 +664,28 @@ class TestReducingPairs:
             want = [q for q in classes if is_irreducible(q)]
             assert classify_irreducibles(gen, n, bound, min_size=n) == want, (n, bound)
             for parity in ("any", "even"):
-                pairs = reducing_pairs(gen, n, bound, parity)
+                pairs = reducing_pair_set(gen, n, bound, parity)
                 assert all((b, a) in pairs for a, b in pairs)
+                free = []
                 for q in classes:
                     t = q.coeffs
                     if any((t[j - 1], t[j]) in pairs for j in range(n)):
                         assert find_decomposition(q, parity) is not None, (n, bound, parity, t)
+                    else:
+                        free.append(q)
+                pruned = enumerate_quiddities(gen, n, bound, canonical_only=True, prune=parity)
+                assert pruned == free, (n, bound, parity)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("spec", ["z", "sqrt:2", "sqrt:3", "isqrt:1", "isqrt:2", "alpha"])
+    def test_pruned_classify_equals_the_unpruned_walk_deeper(self, spec, n):
+        gen = GeneratorSpec.from_string(spec)
+        classes = enumerate_quiddities(gen, n, 2, canonical_only=True)
+        assert classify_irreducibles(gen, n, 2, min_size=n) == [q for q in classes if is_irreducible(q)]
 
     def test_pairs_by_ring(self):
         def pairs(spec, n, bound=2, parity="any"):
-            return reducing_pairs(GeneratorSpec.from_string(spec), n, bound, parity)
+            return reducing_pair_set(GeneratorSpec.from_string(spec), n, bound, parity)
 
         zero = {(0, c) for c in range(-2, 3)} | {(c, 0) for c in range(-2, 3)}
         units = {(u, c) for u in (1, -1) for c in range(-2, 3)}
@@ -684,6 +702,9 @@ class TestReducingPairs:
         assert pairs("z:0", 5) == {(0, 0)}
         assert pairs("sqrt:2", 5) == pairs("sqrt:2", 4) == frozenset()
         assert pairs("z+nonneg", 8) == pairs("isqrt:1+nonneg", 8) == frozenset()
+        # at most three values excluded and four partners, whatever the bound
+        assert reducing_rule(Z, 5, 10**9, "any") == ({0, 1, -1}, {1: 2, -1: -2, 2: 1, -2: -1})
+        assert reducing_rule(GeneratorSpec.from_string("z:0"), 6, 3, "even") == ({0}, {})
         with pytest.raises(ValueError, match="parity"):
             pairs("z", 6, parity="odd")
 
