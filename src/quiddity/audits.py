@@ -18,6 +18,7 @@ from .core import (
     continuant_euler,
     continuant_rec,
     continuant_windows_match,
+    dihedral_orbit,
     product_matrix,
 )
 from .even import MODE_EQUIV, is_evenly_reducible
@@ -131,7 +132,7 @@ def small_entries_probe(gen_strings, max_size, bound):
         bad = []
         count = 0
         for n in range(2, max_size + 1):
-            for q in enumerate_quiddities(gen, n, bound, canonical_only=True):
+            for q in enumerate_quiddities(gen, n, bound):
                 count += 1
                 if not check_two_small_entries(q):
                     bad.append(q.coeffs)
@@ -148,7 +149,7 @@ def _phi_mismatches(gen, sizes, bound, agree):
     disagreeing `source -> image` pair ("" when they all agree)."""
     checked, bad = 0, []
     for n in sizes:
-        for q in enumerate_quiddities(gen, n, bound, canonical_only=True):
+        for q in enumerate_quiddities(gen, n, bound):
             img = phi(q)
             checked += 1
             if not agree(q, img):
@@ -178,8 +179,10 @@ def bijection_probe(ks, max_size, bound):
         bad = []
         for n in range(2, max_size + 1, 2):
             for q in enumerate_quiddities(src, n, bound):
-                if phi_inverse(phi(q)).coeffs != q.coeffs:
-                    bad.append(q.coeffs)
+                # every tuple of the class, with its sign (dihedral_orbit's lemma)
+                for t in sorted(dihedral_orbit(q.coeffs)):
+                    if phi_inverse(phi(Quiddity(src, t, q.sign))).coeffs != t:
+                        bad.append(t)
         yield ProbeResult(
             f"sign-map-roundtrip[k={k}]", not bad, "" if not bad else f"failed on {bad}"
         )

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .core import Quiddity, TheoremViolation, canonical_coeffs, is_quiddity
+from .core import Quiddity, TheoremViolation, canonical_coeffs, coeff_ranks, dihedral_orbit, is_quiddity
 from .even import MODE_EQUIV, MODES, EvenSearchState, search_evenly_irreducible
 from .maps import phi, phi_inverse, rescale_even, rescale_even_inverse
 from .rings import GeneratorSpec, format_element, parse_element
@@ -202,14 +202,14 @@ def _cmd_enumerate(args, out) -> int:
         gen,
         args.size,
         args.bound,
-        canonical_only=args.canonical_only,
         work_limit=args.work_limit,
         workers=args.workers,
     )
     if args.canonical_only:
         items = [_quiddity_payload(q, q.coeffs) for q in found]
-    else:
-        items = [_quiddity_payload(q, q.canonical().coeffs) for q in found]
+    else:  # each class's orbit in turn, every tuple with the class's sign
+        items = [_quiddity_payload(Quiddity(gen, t, q.sign), q.coeffs) for q in found
+                 for t in sorted(dihedral_orbit(q.coeffs), key=lambda t: coeff_ranks(t, gen))]
     _emit_items(args, _config(args), items, out)
     return EXIT_OK
 

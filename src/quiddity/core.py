@@ -145,13 +145,28 @@ def is_quiddity(entries, cross_check: bool = False) -> int | None:
     return None
 
 
-def rotations(t):
-    return [t[i:] + t[:i] for i in range(len(t))]
+def dihedral_orbit(t) -> set:
+    """The distinct rotations of t and of its reversal.
 
+    Lemma (orbits).  A rotation conjugates the product, M(a_1)*P*M(a_1)**-1,
+    so the sign is unchanged.  For reversal let S = diag(1, -1): S*M(a)*S =
+    M(a)^T, so the reversed tuple's product is S*P^T*S = eps*Id.  Dihedral
+    moves permute the entries, so they keep every |c| <= B and c >= 0: the
+    orbits of the classes solve.enumerate_quiddities returns are disjoint,
+    and their union is every solution of its bounded space, each with its
+    class's sign.
 
-def dihedral_orbit(t):
-    """All rotations of t and of its reversal (2n tuples, repeats included)."""
-    return rotations(t) + rotations(t[::-1])
+    Lemma (period).  The rotations of t that equal t are the multiples of
+    its least period p, a divisor of n, so t has exactly p distinct
+    rotations, its first p, and so has its reversal: the orbit is built from
+    those 2p tuples, never from all 2n, and holds p or 2p of them.
+    """
+    t = tuple(t)
+    if not t:
+        raise ValueError("empty tuple")
+    n = len(t)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and t[p:] + t[:p] == t)
+    return {u[i:] + u[:i] for u in (t, t[::-1]) for i in range(p)}
 
 
 _BELOW_ALL = float("-inf")  # the rank of 0 over quad and poly generators
@@ -180,9 +195,14 @@ def canonical_coeffs(coeffs, gen: GeneratorSpec):
     -inf, and a nonzero c ranks c: this needs scale > 0 in GeneratorSpec.ring
     (w = scale*sqrt(d)), as a negative scale would reverse that order.
 
-    Only rotations that start at a minimal rank are compared, forward and
-    reflected: the least rotation starts with the least rank, so no other
-    can be the minimum (Booth 1980).
+    Only rotations that start a run of least rank are compared: forward
+    from where a maximal run starts, reflected from where one ends.  The
+    least rotation starts with the least rank (Booth 1980), and one that
+    starts inside a run, past its first entry, reads fewer entries of least
+    rank before a greater one than the reading from the run's start, so it
+    is greater.  A tuple whose entries share one rank has no run start and
+    is its own canonical form.  This keeps a tuple with one long run linear;
+    one with many run starts, such as (0, 1)**k + (1,), stays quadratic.
     """
     t = tuple(coeffs)
     if not t:
@@ -195,12 +215,16 @@ def canonical_coeffs(coeffs, gen: GeneratorSpec):
     best = fwd  # above the first rotation compared: it starts higher or has it as a prefix
     for i in range(n):
         if ranked[i] == low:
-            u = fwd[i : i + n]
-            if u < best:
-                best = u
-            u = bwd[n - 1 - i : 2 * n - 1 - i]  # reflection read back from i
-            if u < best:
-                best = u
+            if ranked[i - 1] != low:  # a run starts at i
+                u = fwd[i : i + n]
+                if u < best:
+                    best = u
+            if fwd[i + 1] != low:  # a run ends at i
+                u = bwd[n - 1 - i : 2 * n - 1 - i]  # reflection read back from i
+                if u < best:
+                    best = u
+    if best is fwd:  # one rank throughout: nothing was compared
+        return t
     if ranked is t:
         return best
     back = dict(zip(ranked, t))

@@ -300,7 +300,7 @@ def search_evenly_irreducible(
     records = list(state.found) if state else []
     try:
         found = enumerate_quiddities(
-            _Z, size, bound, canonical_only=True, work_limit=work_limit, workers=workers,
+            _Z, size, bound, work_limit=work_limit, workers=workers,
             firsts=(c for c in range(-bound, bound + 1) if c not in done),
             prune=None if strict else PARITY_EVEN,
         )

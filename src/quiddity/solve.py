@@ -16,11 +16,10 @@ upper-left entry is 0) and completes the final two entries in closed form
 is min-first (the shard of first coefficient c walks only coefficients
 ranked at or above c) and keeps a leaf only when it is its own canonical
 form, so each class comes out once, from the shard of its least entry, with
-no dedupe pass (see _run_shard).  Plain enumeration expands each class to
-its dihedral orbit (see _collect).  With prune set to a parity, the walk
-leaves out the values the reducing rule of that parity excludes, and each
-row the one partner of the previous entry, which keeps whole classes (see
-_run_shard).
+no dedupe pass (see _run_shard), and enumeration returns the classes.  With
+prune set to a parity, the walk leaves out the values the reducing rule of
+that parity excludes, and each row the one partner of the previous entry,
+which keeps whole classes (see _run_shard).
 Two more lemmas prune the walk: a prefix whose continuant exceeds what its
 complementary window can reach never closes (the frieze cap), and at the
 last walked position at most four entries leave the third-from-last
@@ -479,63 +478,31 @@ def _map_shards(run, shards, count, workers, limit):
             recv.close()
 
 
-def _collect(gen, found, canonical_only):
-    """Quiddities in the element order from the kernel's (canonical form,
-    sign) pairs: the classes sorted on coeff_ranks and, without
-    canonical_only, each expanded to its dihedral orbit sorted on the
-    tuples' own ranks (size, then the class's ranks, then the tuple's).
-
-    Lemma (orbits).  A rotation conjugates the product, M(a_1)*P*M(a_1)**-1,
-    so the sign is unchanged.  For reversal let S = diag(1, -1): S*M(a)*S =
-    M(a)^T, so the reversed tuple's product is S*P^T*S = eps*Id.  Dihedral
-    moves permute the entries, so they keep every |c| <= B and c >= 0, and
-    each orbit stays inside the bounded space: the classes' orbits are
-    disjoint and their union is every solution there.
-
-    Lemma (period).  The rotations of t that equal t are the multiples of
-    its least period p, a divisor of n, so t has exactly p distinct
-    rotations, its first p, and so has its reversal: the orbit is built from
-    those 2p tuples, never from all 2n.
-    """
-    ranks = functools.partial(coeff_ranks, gen=gen)
-    found.sort(key=lambda pair: ranks(pair[0]))
-    if canonical_only:
-        return [Quiddity(gen, cc, eps) for cc, eps in found]
-    out = []
-    for cc, eps in found:
-        n = len(cc)
-        p = next(p for p in range(1, n + 1) if n % p == 0 and cc[p:] + cc[:p] == cc)
-        orbit = {u[i:] + u[:i] for u in (cc, cc[::-1]) for i in range(p)}
-        out += [Quiddity(gen, t, eps) for t in sorted(orbit, key=ranks)]
-    return out
-
-
 def enumerate_quiddities(
     gen: GeneratorSpec,
     size: int,
     bound: int,
     *,
-    canonical_only: bool = False,
     work_limit: int = DEFAULT_WORK_LIMIT,
     workers: int = 1,
     firsts=None,
     prune=None,
 ):
-    """Every verified tuple of the given size over gen with |k_j| <= bound
-    (0 <= k_j <= bound for nonneg generators), or with canonical_only one
-    canonical form per dihedral class, deterministically sorted.  prune is
-    None, PARITY_ANY or PARITY_EVEN; with a parity, the tuples with a
-    cyclically adjacent pair of reducing_rule(gen, size, bound, prune), all
-    split by find_decomposition with that parity, are left out, whole
-    classes at a time (the pair-free lemma of _run_shard).
+    """One canonical form per dihedral class of the verified tuples of the
+    given size over gen with |k_j| <= bound (0 <= k_j <= bound for nonneg
+    generators), sorted on coeff_ranks; core.dihedral_orbit expands a class
+    into its tuples, each with the class's sign.  prune is None, PARITY_ANY
+    or PARITY_EVEN; with a parity, the tuples with a cyclically adjacent
+    pair of reducing_rule(gen, size, bound, prune), all split by
+    find_decomposition with that parity, are left out, whole classes at a
+    time (the pair-free lemma of _run_shard).
 
     Sharded on the first coefficient (all values, or the distinct ones in
     the iterable firsts, in its order).  Shard c walks min-first (see
     _run_shard) and holds exactly the canonical forms of the classes whose
     least entry is c, each once, so firsts selects the classes whose least
-    entry is in it, in both modes; plain output is the union of those
-    classes' orbits (see _collect).  Results are merged and re-sorted, so
-    worker count never changes the output.
+    entry is in it.  Results are merged and re-sorted, so worker count never
+    changes the output.
 
     A shard that walks pays v, its number of values, before it builds
     anything, and one that walks nothing pays 1 (_run_shard), so a sweep of
@@ -572,7 +539,8 @@ def enumerate_quiddities(
         i, left = cut
         message = f"shard {shards[i]} needs more than the {left} nodes left (limit {work_limit})"
         raise WorkLimitExceeded(message, state=(tuple(shards[:i]), found))
-    return _collect(gen, found, canonical_only)
+    found.sort(key=lambda pair: coeff_ranks(pair[0], gen))
+    return [Quiddity(gen, cc, eps) for cc, eps in found]
 
 
 @dataclass(frozen=True)
@@ -747,8 +715,7 @@ def classify_irreducibles(
     out = []
     for n in range(min_size, max_size + 1):  # sizes ascend and each comes sorted
         found = enumerate_quiddities(
-            gen, n, bound, canonical_only=True, work_limit=work_limit, workers=workers,
-            prune=PARITY_ANY,
+            gen, n, bound, work_limit=work_limit, workers=workers, prune=PARITY_ANY,
         )
         out += [q for q in found if is_irreducible(q)]
     return out

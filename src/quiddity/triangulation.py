@@ -200,7 +200,7 @@ def find_labeling(q: Quiddity, label_bound: int):
             f"and label bound <= {LABEL_SEARCH_BOUND_LIMIT}"
         )
     target = tuple(c * s for c in q.coeffs)
-    orbit = frozenset(dihedral_orbit(target))
+    orbit = dihedral_orbit(target)
     entry_set = set(target)
     values = list(range(-label_bound, label_bound + 1))
     for tri in enumerate_triangulations(n):

@@ -32,6 +32,7 @@ from quiddity import (
     sum_oplus,
 )
 from quiddity import solve
+from quiddity.core import coeff_ranks
 
 SMALL = st.integers(-6, 6)
 
@@ -175,6 +176,16 @@ def element_order(gen):
     order of plain enumeration's output."""
     key = coeff_key(gen)
     return lambda t: (len(t), tuple(map(key, canonical_form(t, key))), tuple(map(key, t)))
+
+
+def every_tuple(classes):
+    """Every tuple of the classes' dihedral orbits, each a Quiddity with its
+    class's sign: class by class, each orbit sorted on coeff_ranks.  Over
+    enumerate_quiddities' classes these are all the solutions of its bounded
+    space (the orbit lemma of core.dihedral_orbit), in the order plain
+    enumerate prints them."""
+    return [Quiddity(q.gen, t, q.sign) for q in classes
+            for t in sorted(dihedral_orbit(q.coeffs), key=lambda t: coeff_ranks(t, q.gen))]
 
 
 def brute_enumerate(gen, n, bound):

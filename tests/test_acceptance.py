@@ -37,7 +37,14 @@ from quiddity import (
 )
 from quiddity.audits import check_two_small_entries, link_probe
 
-from helpers import brute_decomposition, brute_tail_completions, kernel_tail, prefix_matrix, solve_tail2
+from helpers import (
+    brute_decomposition,
+    brute_tail_completions,
+    every_tuple,
+    kernel_tail,
+    prefix_matrix,
+    solve_tail2,
+)
 
 Z = GeneratorSpec.from_string("z")
 NAT = GeneratorSpec.from_string("z+nonneg")
@@ -45,8 +52,9 @@ NAT = GeneratorSpec.from_string("z+nonneg")
 
 @lru_cache(maxsize=None)
 def _enum(gen_text: str, n: int, bound: int, canonical: bool = False):
-    gen = GeneratorSpec.from_string(gen_text)
-    return tuple(enumerate_quiddities(gen, n, bound, canonical_only=canonical))
+    """The classes with canonical, else every tuple of their orbits."""
+    classes = enumerate_quiddities(GeneratorSpec.from_string(gen_text), n, bound)
+    return tuple(classes if canonical else every_tuple(classes))
 
 
 def _finish(num: int, name: str, started: float, budget: float):

@@ -12,10 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from quiddity import EvenSearchState, GeneratorSpec, Quiddity, audits, cli
+from quiddity import (
+    EvenSearchState,
+    GeneratorSpec,
+    Quiddity,
+    audits,
+    canonical_coeffs,
+    cli,
+    enumerate_quiddities,
+)
 from quiddity.cli import main
 
-from helpers import child_env, shard_charges
+from helpers import GENERATORS, child_env, element_order, every_tuple, shard_charges
 
 CONJECTURE_SEARCH = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_search.py"
 
@@ -159,6 +167,21 @@ class TestEnumerate:
         )
         assert code == 3 and "work limit" in err
 
+    @pytest.mark.parametrize("gen", GENERATORS + [GeneratorSpec.from_string("z:0")],
+                             ids=lambda g: g.to_string())
+    def test_plain_output_is_every_tuple_in_the_element_order(self, gen):
+        # each class's orbit in turn, every tuple with its class's sign and form
+        for n in range(2, 7):
+            code, out = run_cli("enumerate", "--gen", gen.to_string(), "--size", str(n),
+                                "--bound", "2", "--format", "jsonl")
+            assert code == 0
+            items = [json.loads(line) for line in out.splitlines()[1:-1]]
+            got = [(tuple(it["coeffs"]), it["sign"]) for it in items]
+            classes = enumerate_quiddities(gen, n, 2)
+            assert got == [(q.coeffs, q.sign) for q in every_tuple(classes)]
+            assert [c for c, _ in got] == sorted((c for c, _ in got), key=element_order(gen))
+            assert all(it["canonical"] == list(canonical_coeffs(it["coeffs"], gen)) for it in items)
+
     def test_worker_count_keeps_bytes_identical(self):
         args = ("enumerate", "--gen", "sqrt:2", "--size", "6", "--bound", "2", "--format", "jsonl")
         _, serial = run_cli(*args, "--workers", "1")
@@ -182,8 +205,9 @@ class TestSerialization:
             ("enumerate", "--gen", "z", "--size", "7", "--bound", "2", "--canonical-only"),
             ("classify", "--gen", "sqrt:2", "--max-size", "6", "--bound", "2"),
             ("even-search", "--size", "6", "--bound", "2"),
+            ("enumerate", "--gen", "z", "--size", "7", "--bound", "2"),
         ],
-        ids=lambda argv: argv[0],
+        ids=["enumerate", "classify", "even-search", "enumerate-plain"],
     )
     def test_canonical_tuples_are_not_canonicalized_again(self, argv, monkeypatch):
         from quiddity.core import canonical_coeffs

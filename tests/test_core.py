@@ -3,6 +3,7 @@ zero/unit collapse rewrites."""
 
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
@@ -22,7 +23,6 @@ from quiddity import (
     continuant_euler,
     continuant_rec,
     dihedral_orbit,
-    enumerate_quiddities,
     is_quiddity,
     mat_of,
     product_matrix,
@@ -33,7 +33,6 @@ from helpers import (
     GENERATORS,
     canonical_form,
     coeff_key,
-    element_order,
     gen_pair_embedding,
     pair_sign,
     reduce_unit,
@@ -214,6 +213,9 @@ class TestSpliceSum:
 
 
 small_int_tuples = st.lists(st.integers(-4, 4), min_size=1, max_size=7).map(tuple)
+# long runs of one value too, where only a run's ends start a compared reading
+run_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(tuple)
+canonical_tuples = small_int_tuples | run_tuples
 
 # every ring kind of the rank lemma: integer scales of each sign and zero,
 # quadratic real and imaginary (square radicands included) and X
@@ -221,14 +223,14 @@ RANK_GENERATORS = GENERATORS + [GeneratorSpec.from_string("z:0")]
 
 
 class TestCanonicalForm:
-    @given(t=small_int_tuples)
+    @given(t=canonical_tuples)
     def test_idempotent_and_in_orbit(self, t):
         c = canonical_coeffs(t, Z)
         assert c == canonical_form(t)
         assert c in dihedral_orbit(t)
         assert canonical_coeffs(c, Z) == c
 
-    @given(t=small_int_tuples, rot=st.integers(0, 6), flip=st.booleans())
+    @given(t=canonical_tuples, rot=st.integers(0, 39), flip=st.booleans())
     def test_constant_on_orbit(self, t, rot, flip):
         u = t[::-1] if flip else t
         u = u[rot % len(u) :] + u[: rot % len(u)]
@@ -256,13 +258,6 @@ class TestCanonicalForm:
                 assert cc == canonical_form(t, key)
                 assert tuple(map(gen.embed, cc)) == canonical_form(map(gen.embed, t))
 
-    @pytest.mark.parametrize("gen", RANK_GENERATORS, ids=lambda g: g.to_string())
-    def test_order_key_follows_element_order(self, gen):
-        # plain enumeration lists each class's orbit in turn (solve._collect)
-        for n in range(2, 7):
-            got = [q.coeffs for q in enumerate_quiddities(gen, n, 2)]
-            assert got == sorted(got, key=element_order(gen))
-
     @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.to_string())
     @given(data=st.data())
     def test_ties_at_the_minimal_rank(self, gen, data):
@@ -273,6 +268,32 @@ class TestCanonicalForm:
         if data.draw(st.booleans()):
             t = (t + t[::-1])[:10]
         assert canonical_coeffs(t, gen) == canonical_form(t, coeff_key(gen))
+
+    @pytest.mark.parametrize("spec", ["z", "sqrt:2"])
+    def test_one_long_run_is_linear(self, spec):
+        # only a run's ends start a compared reading, so one long run is linear
+        gen = GeneratorSpec.from_string(spec)
+        k = 50_000
+        started = time.perf_counter()
+        assert canonical_coeffs((0,) * 2 * k, gen) == (0,) * 2 * k
+        assert canonical_coeffs((0,) * k + (1,) + (0,) * (k - 1), gen) == (0,) * (2 * k - 1) + (1,)
+        assert time.perf_counter() - started < 2.0
+
+
+class TestDihedralOrbit:
+    @given(u=st.lists(st.integers(-2, 2), min_size=1, max_size=6).map(tuple), k=st.integers(1, 4))
+    def test_the_distinct_rotations_and_reflections(self, u, k):
+        t = u * k  # periodic whenever k > 1
+        n = len(t)
+        orbit = dihedral_orbit(t)
+        assert orbit == {v[i:] + v[:i] for v in (t, t[::-1]) for i in range(n)}
+        period = min(p for p in range(1, n + 1) if t[p:] + t[:p] == t)
+        assert len(orbit) in (period, 2 * period)
+        assert canonical_coeffs(t, Z) in orbit
+
+    def test_empty_tuple_is_refused(self):
+        with pytest.raises(ValueError, match="empty tuple"):
+            dihedral_orbit(())
 
 
 class TestQuiddityType:

@@ -27,7 +27,7 @@ from quiddity import solve
 from quiddity.audits import link_probe
 from quiddity.cli import main
 from quiddity.even import MODES, _window_verdicts
-from helpers import generic_decomposition, reducing_pair_set, shard_charges
+from helpers import every_tuple, generic_decomposition, reducing_pair_set, shard_charges
 
 Z = GeneratorSpec.from_string("z")
 # every even size up to 10 at every bound up to 3, and one wider bound
@@ -85,18 +85,18 @@ class TestEvenReducibility:
         assert is_evenly_reducible(_q((1, 1, 1, 1, 1, 1)), MODE_EQUIV) is False
 
     def test_size_four_always_irreducible(self):
-        for q in enumerate_quiddities(Z, 4, 4, canonical_only=True):
+        for q in enumerate_quiddities(Z, 4, 4):
             assert is_evenly_reducible(q, MODE_EQUIV) is False
             assert is_evenly_reducible(q, MODE_STRICT) is False
 
     def test_strict_implies_equivalent(self):
         for n in (6, 8):
-            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
+            for q in enumerate_quiddities(Z, n, 2):
                 if is_evenly_reducible(q, MODE_STRICT):
                     assert is_evenly_reducible(q, MODE_EQUIV)
 
     def test_equiv_mode_is_orbit_invariant(self):
-        for q in enumerate_quiddities(Z, 6, 2, canonical_only=True):
+        for q in enumerate_quiddities(Z, 6, 2):
             base = is_evenly_reducible(q, MODE_EQUIV)
             for reflected in (False, True):
                 t = q.coeffs[::-1] if reflected else q.coeffs
@@ -108,7 +108,7 @@ class TestEvenReducibility:
         from quiddity.solve import _position_scales, _scan_representative
 
         for n in (6, 8):
-            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
+            for q in enumerate_quiddities(Z, n, 2):
                 hit = _scan_representative(q.coeffs, Z, "even", _position_scales(Z, n, 2))
                 if hit is None:
                     continue
@@ -121,7 +121,7 @@ class TestEvenReducibility:
         from quiddity.solve import _position_scales, _scan_representative
 
         for n in (6, 8):
-            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
+            for q in enumerate_quiddities(Z, n, 2):
                 scales = _position_scales(Z, n, 2)
                 literal = _scan_representative(q.coeffs, Z, "even", scales) is not None
                 assert is_evenly_reducible(q, MODE_STRICT) is literal
@@ -139,7 +139,7 @@ class TestEvenReducibility:
         gen = GeneratorSpec.from_string(gen)
         verdicts = set()
         for n in (4, 6, 8):
-            for q in enumerate_quiddities(gen, n, 2):
+            for q in every_tuple(enumerate_quiddities(gen, n, 2)):
                 got = (is_evenly_reducible(q, MODE_STRICT), is_evenly_reducible(q, MODE_EQUIV))
                 assert got == _scan_verdicts(q), q.coeffs
                 verdicts.add(got)
@@ -168,7 +168,7 @@ class TestWindowRule:
 
     @pytest.mark.parametrize("size, bound", EVEN_SPACES)
     def test_window_verdicts_equal_both_decomposition_scans(self, size, bound):
-        for q in enumerate_quiddities(Z, size, bound, canonical_only=True):
+        for q in enumerate_quiddities(Z, size, bound):
             got = _window_verdicts(q.coeffs)
             assert got == _scan_verdicts(q) == _scan_verdicts(q, generic_decomposition), q.coeffs
 
@@ -176,16 +176,15 @@ class TestWindowRule:
     def test_window_verdicts_hold_on_every_representative(self, size):
         # strict verdicts read the literal tuple, so rotations and reflections differ
         verdicts = set()
-        for q in enumerate_quiddities(Z, size, 2):
+        for q in every_tuple(enumerate_quiddities(Z, size, 2)):
             got = _window_verdicts(q.coeffs)
             assert got == _scan_verdicts(q), q.coeffs
             verdicts.add(got)
         assert {(True, True), (False, True)} <= verdicts
 
     def test_size_four_has_no_window(self):
-        assert {_window_verdicts(q.coeffs) for q in enumerate_quiddities(Z, 4, 4)} == {
-            (False, False)
-        }
+        tuples = every_tuple(enumerate_quiddities(Z, 4, 4))
+        assert {_window_verdicts(q.coeffs) for q in tuples} == {(False, False)}
 
     @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_EQUIV])
     def test_the_zero_tuple_splits_at_any_size(self, mode):
@@ -203,7 +202,7 @@ class TestWindowRule:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size, bound", EVEN_SPACES)
     def test_pruned_sweep_equals_the_full_walk_with_the_scan(self, size, bound, workers):
-        classes = enumerate_quiddities(Z, size, bound, canonical_only=True)
+        classes = enumerate_quiddities(Z, size, bound)
         verdicts = [(q, *_scan_verdicts(q)) for q in classes]
         want = {
             MODE_EQUIV: [(q.coeffs, q.sign, False) for q, _, equiv in verdicts if not equiv],
@@ -253,7 +252,7 @@ class TestSearch:
         results, _ = search_evenly_irreducible(4, 2)
         got = {q.coeffs for q, _ in results}
         want = {
-            q.coeffs for q in enumerate_quiddities(Z, 4, 2, canonical_only=True)
+            q.coeffs for q in enumerate_quiddities(Z, 4, 2)
         }
         assert got == want
 
@@ -266,7 +265,7 @@ class TestSearch:
         results, _ = search_evenly_irreducible(6, 2)
         direct = {
             q.coeffs
-            for q in enumerate_quiddities(Z, 6, 2, canonical_only=True)
+            for q in enumerate_quiddities(Z, 6, 2)
             if not is_evenly_reducible(q, MODE_EQUIV)
         }
         assert {q.coeffs for q, red in results if not red} == direct
@@ -288,7 +287,7 @@ class TestSearch:
         # a shard once held every class containing its coefficient, not only
         # those starting there: a checkpoint from then has shard 0 done and
         # every strictly irreducible class that contains 0 recorded
-        classes = enumerate_quiddities(Z, 8, 2, canonical_only=True)
+        classes = enumerate_quiddities(Z, 8, 2)
         found = tuple(sorted(
             (q.coeffs, q.sign, is_evenly_reducible(q, MODE_EQUIV))
             for q in classes
@@ -307,7 +306,7 @@ class TestSearch:
         # the irreducible classes of the state's mode
         irreducible = {
             q.coeffs
-            for q in enumerate_quiddities(Z, 8, 2, canonical_only=True)
+            for q in enumerate_quiddities(Z, 8, 2)
             if not is_evenly_reducible(q, mode)
         }
         # the dearest shard's charge: every run finishes at least one shard
@@ -333,7 +332,7 @@ class TestSearch:
         # class starting there, the ones split after a dihedral move flagged
         done = (-3, 1)
         found = []
-        for q in enumerate_quiddities(Z, 8, 3, canonical_only=True):
+        for q in enumerate_quiddities(Z, 8, 3):
             strict, equiv = _scan_verdicts(q)
             if q.coeffs[0] in done and not strict:
                 found.append((q.coeffs, q.sign, equiv))
@@ -408,14 +407,14 @@ class TestSearch:
         assert results and calls == []
 
     def test_first_coefficient_batches_cover_the_class_set(self):
-        classes = functools.partial(enumerate_quiddities, Z, 8, 2, canonical_only=True)
+        classes = functools.partial(enumerate_quiddities, Z, 8, 2)
         union = set()
         for batch in ([-2, 1], [0], [2, -1]):
             union |= {q.coeffs for q in classes(firsts=batch)}
         assert union == {q.coeffs for q in classes()}
 
     def test_canonical_shards_hold_the_classes_starting_there(self):
-        shard = functools.partial(enumerate_quiddities, Z, 8, 2, canonical_only=True)
+        shard = functools.partial(enumerate_quiddities, Z, 8, 2)
         classes = [q.coeffs for q in shard()]
         for c in range(-2, 3):
             got = [q.coeffs for q in shard(firsts=[c])]

@@ -20,6 +20,8 @@ from quiddity import (
 )
 from quiddity.audits import bijection_probe
 
+from helpers import every_tuple
+
 Z = GeneratorSpec.from_string("z")
 
 
@@ -59,7 +61,7 @@ class TestPhi:
     def test_roundtrip_on_enumerated_sets(self, k):
         gen = GeneratorSpec("isqrt", k)
         for n in (2, 4, 6):
-            for q in enumerate_quiddities(gen, n, 2):
+            for q in every_tuple(enumerate_quiddities(gen, n, 2)):
                 img = phi(q)
                 assert phi_inverse(img).coeffs == q.coeffs
                 assert img.size == q.size

@@ -48,6 +48,7 @@ from helpers import (
     child_env,
     cmp_abs_squared_with_4,
     element_order,
+    every_tuple,
     full_walk_shard,
     generic_decomposition,
     kernel_tail,
@@ -125,7 +126,7 @@ class TestEnumerate:
         assert found[0].sign == -1
 
     def test_size_four_classes_over_z(self):
-        got = {q.coeffs for q in enumerate_quiddities(Z, 4, 3, canonical_only=True)}
+        got = {q.coeffs for q in enumerate_quiddities(Z, 4, 3)}
         brute = {canonical_coeffs(c, Z) for c, _ in brute_enumerate(Z, 4, 3)}
         assert got == brute
         assert len(got) == 6
@@ -154,19 +155,19 @@ class TestEnumerate:
     )
     def test_matches_brute_force(self, gen):
         for n in range(2, 6):
-            got = [(q.coeffs, q.sign) for q in enumerate_quiddities(gen, n, 2)]
+            got = [(q.coeffs, q.sign) for q in every_tuple(enumerate_quiddities(gen, n, 2))]
             order = element_order(gen)
             assert got == sorted(brute_enumerate(gen, n, 2), key=lambda pair: order(pair[0]))
 
     def test_alpha_kronecker_substitution_is_sound(self):
         # every tuple the integer walker accepts at X := M must solve over X
-        found = enumerate_quiddities(ALPHA, 8, 3)
+        found = every_tuple(enumerate_quiddities(ALPHA, 8, 3))
         assert len(found) == 2765
         for q in found:
             assert q.verify() == q.sign
 
     def test_signs_reverify(self):
-        for q in enumerate_quiddities(SQRT2, 6, 2):
+        for q in every_tuple(enumerate_quiddities(SQRT2, 6, 2)):
             assert q.verify() == q.sign
 
     def test_worker_count_does_not_change_output(self):
@@ -224,10 +225,8 @@ class TestEnumerate:
             pooled, serial = (solve._map_shards(run, firsts, count, w, solve.DEFAULT_WORK_LIMIT)
                               for w in (workers, 1))
             assert pooled == serial and serial[1] is None
-            for canonical_only in (False, True):
-                serial = enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only)
-                assert enumerate_quiddities(Z, 6, 3, firsts=firsts, canonical_only=canonical_only,
-                                            workers=workers) == serial
+            serial = enumerate_quiddities(Z, 6, 3, firsts=firsts)
+            assert enumerate_quiddities(Z, 6, 3, firsts=firsts, workers=workers) == serial
         assert multiprocessing.active_children() == []
 
     def test_the_cut_is_the_same_for_every_walker_count(self, monkeypatch):
@@ -289,7 +288,7 @@ class TestEnumerate:
         # none outlives its shard
         tracemalloc.start()
         try:
-            found = enumerate_quiddities(Z, 4, 300, canonical_only=True)
+            found = enumerate_quiddities(Z, 4, 300)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +350,7 @@ class TestEnumerate:
         assert [q.coeffs for q in found] == [(0, 0, 0, 0)]
 
     @pytest.mark.parametrize("gen", KERNEL_GENERATORS, ids=lambda g: g.to_string())
-    def test_canonical_only_equals_the_brute_classes(self, gen):
+    def test_classes_equal_the_brute_classes(self, gen):
         # the zero generator maps every coefficient to 0, so it takes 0 alone
         top = 0 if gen.ring[:2] == ("int", 0) else 2
         for n in range(2, 7):
@@ -362,7 +361,7 @@ class TestEnumerate:
                     for c, eps in grid
                     if max(map(abs, c)) <= bound
                 }
-                found = enumerate_quiddities(gen, n, bound, canonical_only=True)
+                found = enumerate_quiddities(gen, n, bound)
                 got = [(q.coeffs, q.sign) for q in found]
                 assert got == sorted(brute.items(), key=lambda kv: coeff_ranks(kv[0], gen))
 
@@ -377,7 +376,7 @@ class TestKernel:
                 want = set()
                 for first in [None] if n == 2 else solve._coeff_values(gen, bound):
                     want.update(full_walk_shard(gen, n, bound, first))
-                got = [(q.coeffs, q.sign) for q in enumerate_quiddities(gen, n, bound)]
+                got = [(q.coeffs, q.sign) for q in every_tuple(enumerate_quiddities(gen, n, bound))]
                 assert set(got) == want
                 assert len(got) == len(want)
 
@@ -409,11 +408,10 @@ class TestKernel:
                     tuples.update(full_walk_shard(gen, n, bound, first))
                 for parity in ("any", "even"):
                     want = pair_free(tuples, reducing_pair_set(gen, n, bound, parity))
-                    got = [(q.coeffs, q.sign)
-                           for q in enumerate_quiddities(gen, n, bound, prune=parity)]
+                    found = enumerate_quiddities(gen, n, bound, prune=parity)
+                    got = [(q.coeffs, q.sign) for q in every_tuple(found)]
                     assert set(got) == want and len(got) == len(want), (n, bound, parity)
-                    classes = [(q.coeffs, q.sign) for q in enumerate_quiddities(
-                        gen, n, bound, canonical_only=True, prune=parity)]
+                    classes = [(q.coeffs, q.sign) for q in found]
                     assert set(classes) == {(canonical_coeffs(c, gen), eps) for c, eps in want}
                     assert len(classes) == len(set(classes))
 
@@ -433,7 +431,7 @@ class TestKernel:
             with pytest.raises(ValueError, match="prune"):
                 enumerate_quiddities(Z, 6, 2, prune=prune)
         serial, pooled = (
-            enumerate_quiddities(Z, 8, 3, canonical_only=True, workers=w, prune="even")
+            enumerate_quiddities(Z, 8, 3, workers=w, prune="even")
             for w in (1, 2)
         )
         assert serial == pooled and serial
@@ -502,7 +500,7 @@ class TestPruningLemmas:
     def test_a_prefix_continuant_is_its_complementary_window(self, gen):
         # the frieze-cap lemma: K(a_1..a_m) = -eps*K(a_(m+2)..a_(n-1))
         for n in range(2, 7 if gen.ring[0] == "poly" else 9):
-            for q in enumerate_quiddities(gen, n, 3):
+            for q in every_tuple(enumerate_quiddities(gen, n, 3)):
                 a = q.elements()
                 for m in range(1, n - 1):
                     assert continuant_rec(a[:m]) == -q.sign * continuant_rec(a[m + 1 : n - 1])
@@ -550,14 +548,14 @@ class TestDecomposition:
     def test_zero_entry_makes_large_tuples_reducible(self):
         for gen in (Z, SQRT2):
             for n in (5, 6):
-                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
+                for q in enumerate_quiddities(gen, n, 2):
                     if 0 in q.coeffs:
                         assert find_decomposition(q) is not None
 
     def test_witnesses_re_verify(self):
         for gen, parity in product(GENERATORS, ("any", "even")):
             for n in range(4, 7):
-                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
+                for q in enumerate_quiddities(gen, n, 2):
                     d = find_decomposition(q, parity)
                     if d is None:
                         continue
@@ -576,7 +574,7 @@ class TestDecomposition:
     def test_matches_brute_force_decomposer(self):
         for gen, parity in product(GENERATORS, ("any", "even")):
             for n in range(4, 7):
-                for q in enumerate_quiddities(gen, n, 1, canonical_only=True):
+                for q in enumerate_quiddities(gen, n, 1):
                     exact = find_decomposition(q, parity)
                     brute = brute_decomposition(q, parity, boundary_bound=4)
                     assert (exact is None) == (brute is None), (gen.to_string(), q.coeffs, parity)
@@ -587,7 +585,7 @@ class TestDecomposition:
         classes = 0
         for gen in GENERATORS + [GeneratorSpec.from_string("z:0")]:
             for n in range(4, 9):
-                for q in enumerate_quiddities(gen, n, 2, canonical_only=True):
+                for q in enumerate_quiddities(gen, n, 2):
                     classes += 1
                     for parity in ("any", "even"):
                         assert find_decomposition(q, parity) == generic_decomposition(q, parity), (
@@ -618,14 +616,14 @@ class TestIrreducibility:
             assert is_irreducible(Quiddity.verified(Z, (0, m, 0, -m))) is True
 
     def test_constant_on_dihedral_orbits(self):
-        for q in enumerate_quiddities(Z, 5, 2, canonical_only=True):
+        for q in enumerate_quiddities(Z, 5, 2):
             base = is_irreducible(q)
             for rep in _dihedral(q.coeffs):
                 assert is_irreducible(Quiddity(Z, rep, q.sign)) == base
 
     def test_negation_preserves_irreducibility(self):
         for n in range(3, 7):
-            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
+            for q in enumerate_quiddities(Z, n, 2):
                 neg = Quiddity.verified(Z, tuple(-c for c in q.coeffs))
                 assert is_irreducible(q) == is_irreducible(neg)
 
@@ -660,7 +658,7 @@ class TestReducingRule:
     @pytest.mark.parametrize("gen", REDUCING_GENERATORS, ids=lambda g: g.to_string())
     def test_pruned_classify_equals_the_unpruned_walk_with_the_scan(self, gen):
         for n, bound in REDUCING_SPACES:
-            classes = enumerate_quiddities(gen, n, bound, canonical_only=True)
+            classes = enumerate_quiddities(gen, n, bound)
             want = [q for q in classes if is_irreducible(q)]
             assert classify_irreducibles(gen, n, bound, min_size=n) == want, (n, bound)
             for parity in ("any", "even"):
@@ -673,14 +671,14 @@ class TestReducingRule:
                         assert find_decomposition(q, parity) is not None, (n, bound, parity, t)
                     else:
                         free.append(q)
-                pruned = enumerate_quiddities(gen, n, bound, canonical_only=True, prune=parity)
+                pruned = enumerate_quiddities(gen, n, bound, prune=parity)
                 assert pruned == free, (n, bound, parity)
 
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize("spec", ["z", "sqrt:2", "sqrt:3", "isqrt:1", "isqrt:2", "alpha"])
     def test_pruned_classify_equals_the_unpruned_walk_deeper(self, spec, n):
         gen = GeneratorSpec.from_string(spec)
-        classes = enumerate_quiddities(gen, n, 2, canonical_only=True)
+        classes = enumerate_quiddities(gen, n, 2)
         assert classify_irreducibles(gen, n, 2, min_size=n) == [q for q in classes if is_irreducible(q)]
 
     def test_pairs_by_ring(self):
@@ -732,5 +730,5 @@ class TestTwoSmallEntries:
     def test_holds_on_small_enumerations(self):
         for gen in (Z, N, SQRT2, GAUSS, GeneratorSpec.from_string("sqrt:5")):
             for n in range(2, 7):
-                for q in enumerate_quiddities(gen, n, 2):
+                for q in every_tuple(enumerate_quiddities(gen, n, 2)):
                     assert check_two_small_entries(q) is True

@@ -148,7 +148,7 @@ class TestFindLabeling:
 
     def test_every_small_solution_has_witness(self):
         for n in range(3, 6):
-            for q in enumerate_quiddities(Z, n, 2, canonical_only=True):
+            for q in enumerate_quiddities(Z, n, 2):
                 w = find_labeling(q, 4)
                 assert w is not None, q.coeffs
                 assert quiddity_of_labeling(w).coeffs == q.canonical().coeffs
