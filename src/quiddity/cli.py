@@ -4,7 +4,8 @@ triangulate, even-search and selftest.
 Output is deterministic for a fixed configuration: results are fully sorted,
 JSON is dumped with sorted keys and fixed separators, and worker count never
 leaks into the payload.  Exit codes: 0 success, 1 mathematical counterexample
-found by a falsification probe, 2 usage error, 3 work-limit abort.
+found by a falsification probe, 2 usage error, 3 work-limit abort, 141 stdout
+closed by its reader.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_WORK_LIMIT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
 
 
 def _dump(obj) -> str:
@@ -126,7 +128,9 @@ def _config(args) -> dict:
 
 def _quiddity_payload(q: Quiddity, canonical: tuple, irreducible=None) -> dict:
     """One output item: q's fields, with its dihedral class's canonical form
-    (q.coeffs when q is in it, so no canonical form is recomputed)."""
+    (q.coeffs when q is in it, so no canonical form is recomputed).  The
+    object commands print it; batch commands print the same bytes from
+    _item_texts, and the tests hold the two against each other."""
     out = {
         "coeffs": list(q.coeffs),
         "generator": q.gen.descriptor(),
@@ -140,33 +144,74 @@ def _quiddity_payload(q: Quiddity, canonical: tuple, irreducible=None) -> dict:
     return out
 
 
-def _csv_items(items) -> str:
-    lines = ["size,coeffs,sign,canonical,irreducible"]
-    for it in items:
-        coeffs = "[" + " ".join(str(c) for c in it["coeffs"]) + "]"
-        canonical = "[" + " ".join(str(c) for c in it["canonical"]) + "]"
-        irr = it.get("irreducible")
-        irr_text = "" if irr is None else str(irr).lower()
-        lines.append(f"{it['size']},{coeffs},{it['sign']},{canonical},{irr_text}")
-    return "\n".join(lines)
+def _ints(t) -> str:
+    """_dump of an integer tuple, as a JSON list."""
+    return "[" + ",".join(map(str, t)) + "]"
 
 
-def _emit_items(args, config: dict, items: list[dict], out) -> None:
+def _item_texts(gen: GeneratorSpec, classes, irreducible) -> list[str]:
+    """The JSON text of each batch item, less its closing brace, built from
+    per-call templates in sort_keys order (canonical, coeffs, elements,
+    [equiv_reducible], generator, [irreducible], sign, size): the generator
+    descriptor is dumped once, each coefficient's element string is made on
+    first use, and the coeffs text is the canonical text when the member is
+    the canonical tuple itself.  So each text is _dump of _quiddity_payload
+    with the flags added, less its last byte.  A class's members are
+    dihedral images of its canonical tuple, so they hold the same entries."""
+    elements = {}  # coefficient -> the JSON string of its element
+    generator = ',"generator":' + _dump(gen.descriptor())
+    if irreducible is not None:
+        generator += ',"irreducible":' + _dump(irreducible)
+    texts = []
+    for canonical, sign, equiv_reducible, members in classes:
+        for c in canonical:
+            if c not in elements:
+                elements[c] = _dump(format_element(gen.embed(c)))
+        canon = _ints(canonical)
+        head = '{"canonical":' + canon + ',"coeffs":'
+        tail = "" if equiv_reducible is None else ',"equiv_reducible":' + _dump(equiv_reducible)
+        tail += f'{generator},"sign":{sign},"size":{len(canonical)}'
+        texts += [
+            head + (canon if t is canonical else _ints(t))
+            + ',"elements":[' + ",".join(map(elements.__getitem__, t)) + "]" + tail
+            for t in members
+        ]
+    return texts
+
+
+# a batch output goes out in writes of this many lines: a few large writes,
+# and a reader that closes the pipe early still fails a later one
+_LINES_PER_WRITE = 1024
+
+
+def _emit_items(args, config: dict, gen: GeneratorSpec, classes, out, irreducible=None) -> None:
+    """Write a batch command's items in args.format.  classes yields
+    (canonical, sign, equiv_reducible or None, members): one item per member
+    tuple, in order, each with its class's canonical form and sign.
+    irreducible, when not None, is every item's flag."""
     fmt = args.format
-    if fmt == "jsonl":
-        print(_dump({"type": "config", **config}), file=out)
-        for it in items:
-            print(_dump({"type": "quiddity", **it}), file=out)
-        print(_dump({"type": "summary", "count": len(items)}), file=out)
-    elif fmt == "csv":
-        print(_csv_items(items), file=out)
+    if fmt == "csv":
+        irr = "" if irreducible is None else _dump(irreducible)
+        lines = ["size,coeffs,sign,canonical,irreducible"]
+        for canonical, sign, _, members in classes:
+            canon = " ".join(map(str, canonical))
+            lines += [f"{len(t)},[{' '.join(map(str, t))}],{sign},[{canon}],{irr}" for t in members]
     elif fmt == "text":
-        print(f"# {_dump(config)}", file=out)
-        for it in items:
-            print(f"size {it['size']}  sign {it['sign']:+d}  {tuple(it['coeffs'])}", file=out)
-        print(f"# count {len(items)}", file=out)
+        rows = [f"size {len(t)}  sign {sign:+d}  {t}" for _, sign, _, members in classes for t in members]
+        lines = [f"# {_dump(config)}", *rows, f"# count {len(rows)}"]
+    elif fmt == "jsonl":
+        items = _item_texts(gen, classes, irreducible)
+        lines = [
+            _dump({"type": "config", **config}),
+            *(t + ',"type":"quiddity"}' for t in items),
+            _dump({"type": "summary", "count": len(items)}),
+        ]
     else:
-        print(_dump({"config": config, "count": len(items), "items": items}), file=out)
+        items = _item_texts(gen, classes, irreducible)
+        body = ",".join(t + "}" for t in items)
+        lines = [f'{{"config":{_dump(config)},"count":{len(items)},"items":[{body}]}}']
+    for i in range(0, len(lines), _LINES_PER_WRITE):
+        out.write("\n".join(lines[i : i + _LINES_PER_WRITE]) + "\n")
 
 
 def _emit_object(args, payload: dict, out, text_lines) -> None:
@@ -206,25 +251,26 @@ def _cmd_enumerate(args, out) -> int:
         workers=args.workers,
     )
     if args.canonical_only:
-        items = [_quiddity_payload(q, q.coeffs) for q in found]
+        classes = ((q.coeffs, q.sign, None, (q.coeffs,)) for q in found)
     else:  # each class's orbit in turn, every tuple with the class's sign
-        items = [_quiddity_payload(Quiddity(gen, t, q.sign), q.coeffs) for q in found
-                 for t in sorted(dihedral_orbit(q.coeffs), key=lambda t: coeff_ranks(t, gen))]
-    _emit_items(args, _config(args), items, out)
+        classes = ((q.coeffs, q.sign, None,
+                    sorted(dihedral_orbit(q.coeffs), key=lambda t: coeff_ranks(t, gen))) for q in found)
+    _emit_items(args, _config(args), gen, classes, out)
     return EXIT_OK
 
 
 def _cmd_classify(args, out) -> int:
+    gen = GeneratorSpec.from_string(args.gen)
     found = classify_irreducibles(
-        GeneratorSpec.from_string(args.gen),
+        gen,
         args.max_size,
         args.bound,
         min_size=args.min_size,
         work_limit=args.work_limit,
         workers=args.workers,
     )
-    items = [_quiddity_payload(q, q.coeffs, irreducible=True) for q in found]
-    _emit_items(args, _config(args), items, out)
+    classes = ((q.coeffs, q.sign, None, (q.coeffs,)) for q in found)
+    _emit_items(args, _config(args), gen, classes, out, irreducible=True)
     return EXIT_OK
 
 
@@ -361,8 +407,8 @@ def _cmd_even_search(args, out) -> int:
         return EXIT_WORK_LIMIT
     if args.checkpoint:
         _checkpoint_io(final.save, args.checkpoint)
-    items = [{**_quiddity_payload(q, q.coeffs), "equiv_reducible": red} for q, red in results]
-    _emit_items(args, _config(args), items, out)
+    classes = ((q.coeffs, q.sign, red, (q.coeffs,)) for q, red in results)
+    _emit_items(args, _config(args), GeneratorSpec("int", 1), classes, out)
     return EXIT_OK
 
 
@@ -484,4 +530,17 @@ def main(argv=None, out=None) -> int:
 
 
 def console() -> None:
-    raise SystemExit(main())
+    """The quiddity script and python -m quiddity.  A reader that closes
+    stdout early (| head) ends the run with EXIT_BROKEN_PIPE and no
+    traceback: fd 1 then points at os.devnull, so the interpreter's final
+    flush stays quiet.  Callers of main with their own out keep the
+    BrokenPipeError."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

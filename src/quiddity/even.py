@@ -83,6 +83,23 @@ def _window_verdicts(t: tuple[int, ...]) -> tuple[bool, bool]:
     return False, False
 
 
+def _z_sign(t: tuple[int, ...]) -> int | None:
+    """is_quiddity of the integer tuple t over z, on plain integers: the sign
+    eps with M(t_n)*...*M(t_1) = eps*Id, or None.
+
+    Lemma.  Over z each element is its coefficient, and M(a) times a matrix
+    with rows r1 over r2 has rows a*r1 - r2 over r1, so the product's rows
+    are two integer recurrences; the sign is then read off them by
+    is_quiddity's test (both off-diagonal entries 0, equal diagonal entries
+    +-1).
+    """
+    r1, r2 = (1, 0), (0, 1)
+    for a in t:
+        r1, r2 = (a * r1[0] - r2[0], a * r1[1] - r2[1]), r1
+    (p11, p12), (p21, p22) = r1, r2
+    return p11 if p12 == p21 == 0 and p11 == p22 and p11 in (1, -1) else None
+
+
 def is_evenly_reducible(q: Quiddity, mode: str = MODE_EQUIV) -> bool:
     """Splice split into two verified even tuples of size >= 4?
 
@@ -177,9 +194,9 @@ class EvenSearchState:
         Only version CHECKPOINT_VERSION is read: earlier formats recorded
         other classes, so their sweeps must be rerun.  Every key must be
         present with its type.  Every record is re-verified: size, |c| <=
-        bound, canonical form, sign through is_quiddity, and strict
-        irreducibility together with the equiv_reducible flag, recomputed by
-        the decision the search uses (_window_verdicts).  The constructor
+        bound, canonical form, sign (_z_sign), and strict irreducibility
+        together with the equiv_reducible flag, recomputed by the decision
+        the search uses (_window_verdicts).  The constructor
         then checks the invariants across fields.  A record deleted from
         found cannot be detected: its shard stays in done, so a resumed
         sweep never revisits it.
@@ -225,7 +242,7 @@ class EvenSearchState:
             _require(type(sign) is int and type(red) is bool, f"{cc}: sign or flag of wrong type")
             q = Quiddity(_Z, cc, sign)
             _require(q.canonical().coeffs == q.coeffs, f"{cc} is not in canonical form")
-            _require(q.verify() == sign, f"{cc} does not verify with sign {sign}")
+            _require(_z_sign(q.coeffs) == sign, f"{cc} does not verify with sign {sign}")
             _require(
                 _window_verdicts(q.coeffs) == (False, red),
                 f"{cc} is strictly reducible or its equiv_reducible flag is wrong",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from quiddity import (
     audits,
     canonical_coeffs,
     cli,
+    dihedral_orbit,
     enumerate_quiddities,
 )
 from quiddity.cli import main
@@ -62,6 +64,11 @@ _BAD_CHECKPOINTS = {
     "record-not-canonical": _with(found=[_record([1, 1, 1, -1, -1, -1], -1)]),
     "record-wrong-sign": _with(found=[_record([1, 1, 1, 1, 1, 1], -1)]),
     "record-not-a-solution": _with(found=[_record([0, 0, 0, 0, 0, 1], 1)]),
+    # canonical, within the bound and with no window of continuant +-1, so
+    # only the sign check refuses them: each product has 1 on its diagonal
+    # and a nonzero entry above it or below it
+    "record-not-a-solution-upper": _with(found=[_record([-1, -1, -1, -1, -1, 1], 1)]),
+    "record-not-a-solution-lower": _with(found=[_record([-1, 1, 1, -1, 1, 1], 1)]),
     "record-strictly-reducible": _with(found=[_record([0, 0, 0, 0, 0, 0], -1)]),
     "record-wrong-flag": _with(found=[_record([1, 1, 1, 1, 1, 1], 1, True)]),
     "record-flag-type": _with(found=[_record([1, 1, 1, 1, 1, 1], 1, "false")]),
@@ -234,6 +241,28 @@ class TestSerialization:
         assert calls["inside"] > 0 and calls["outside"] == 0
 
 
+    @pytest.mark.parametrize("gen", GENERATORS + [GeneratorSpec.from_string("z:0")],
+                             ids=lambda g: g.to_string())
+    def test_item_texts_equal_the_sorted_key_dump(self, gen):
+        # each class's canonical tuple itself (the canonical-only members) and
+        # then its orbit, whose tuples differ from the canonical form
+        found = [q for n in (4, 5, 6) for q in enumerate_quiddities(gen, n, 2)]
+        members = [(q.coeffs, *sorted(dihedral_orbit(q.coeffs))) for q in found]
+        if gen.to_string() not in ("z:0", "isqrt:2+nonneg"):  # only zero tuples there
+            assert any(t != q.coeffs for q, ts in zip(found, members) for t in ts)
+            assert gen.nonneg or any(c < 0 for q in found for c in q.coeffs)
+        for equiv_reducible, irreducible in itertools.product((None, False, True), repeat=2):
+            classes = [(q.coeffs, q.sign, equiv_reducible, ts) for q, ts in zip(found, members)]
+            want = []
+            for q, ts in zip(found, members):
+                for t in ts:
+                    item = cli._quiddity_payload(Quiddity(gen, t, q.sign), q.coeffs, irreducible)
+                    if equiv_reducible is not None:
+                        item["equiv_reducible"] = equiv_reducible
+                    want.append(cli._dump(item))
+            assert [t + "}" for t in cli._item_texts(gen, classes, irreducible)] == want
+
+
 # stdout sha256 of commands whose bytes every change to the search must keep
 _PINNED_DIGESTS = {
     "classify --gen z --max-size 6 --bound 3":
@@ -360,6 +389,25 @@ _PINNED_DIGESTS = {
         "e07742cce972df0fb36bd495ecdda2089a0dc2cc09434f3848ec34b16cb2a75e",
     "decompose --gen z --tuple [2,2,1,4,1,2] --format csv":
         "268b214f90ffa265713a5f9e03b7559d172a9922dd68b28333dbc4c8017eab09",
+    # batch output in every framing, recorded before it was written from
+    # per-call templates: plain and canonical-only jsonl, the irreducible
+    # and equiv_reducible flags, and an empty result
+    "enumerate --gen alpha --size 6 --bound 2 --format jsonl":
+        "f9e5fdc573b70a77d6a765860f6eafcb0d6234182edcd7f27239a929c5632b6a",
+    "enumerate --gen isqrt:1 --size 6 --bound 3 --canonical-only --format jsonl":
+        "5869d8639eeaedf948e0bdf65576ce057daf0f5a0ee87707d1095df42021e3ae",
+    "classify --gen sqrt:2 --max-size 6 --bound 3 --format jsonl":
+        "1c87c3d5ed31b77a0637c11217212b338009ef24d2b1114894abdcfe69c588a3",
+    "classify --gen sqrt:2 --max-size 6 --bound 3 --format csv":
+        "f7659fc9e46efbaecdcc12c5f7925853e97415b3d22e24b145683f5a56e38902",
+    "classify --gen sqrt:2 --max-size 6 --bound 3 --format text":
+        "6742c886ae9940982d9f142cc9105a81a4d9b6fff39ebac6f39676e63bca91e0",
+    "even-search --size 8 --bound 2 --mode strict --format jsonl":
+        "eb0aa6ac58aaeb685338cf9661a77aedaaeba5b6cfee7b0ae9b858828341412d",
+    "enumerate --gen sqrt:2 --size 5 --bound 3":
+        "68684c931cd938c55594e1411f2630b8791e0c1b2cfaedd59620bde64168d6b1",
+    "enumerate --gen sqrt:2 --size 5 --bound 3 --format jsonl":
+        "9927b715acf66eba37c730f626ac702c7b98f919884246471ec70e88ba38a2d5",
 }
 
 
@@ -981,6 +1029,29 @@ class TestHelpAndErrors:
                 "enumerate", "--gen", "z", "--size", "4", "--bound", "2", "--workers", workers
             )
             assert code == 2 and out == ""
+
+    def test_a_closed_pipe_exits_141_without_a_traceback(self):
+        # 1.5 MB of output, written in several writes: the reader closes the
+        # pipe after one line, so a later write fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quiddity", "enumerate", "--gen", "z", "--size", "8",
+             "--bound", "3", "--format", "jsonl"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+        assert json.loads(proc.stdout.readline())["type"] == "config"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+        assert "Traceback" not in err
+
+    def test_main_leaves_a_broken_pipe_to_its_caller(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        with pytest.raises(BrokenPipeError):
+            main(["enumerate", "--gen", "z", "--size", "4", "--bound", "2"], out=Closed())
 
     def test_missing_subcommand_is_usage_error(self):
         code, _, _ = run_cli_subprocess()

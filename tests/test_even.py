@@ -8,7 +8,9 @@ import itertools
 import json
 import multiprocessing
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from quiddity import (
     EvenSearchState,
@@ -26,7 +28,7 @@ from quiddity import (
 from quiddity import solve
 from quiddity.audits import link_probe
 from quiddity.cli import main
-from quiddity.even import MODES, _window_verdicts
+from quiddity.even import MODES, _window_verdicts, _z_sign
 from helpers import every_tuple, generic_decomposition, reducing_pair_set, shard_charges
 
 Z = GeneratorSpec.from_string("z")
@@ -212,6 +214,31 @@ class TestWindowRule:
             results, state = search_evenly_irreducible(size, bound, mode, workers=workers)
             assert [(q.coeffs, q.sign, red) for q, red in results] == expected
             assert sorted(state.found) == sorted(expected)
+
+
+# every solution over z of size 2 .. 7 within bound 3: the orbits of its classes
+_Z_SOLUTIONS = [q.coeffs for n in range(2, 8) for q in every_tuple(enumerate_quiddities(Z, n, 3))]
+
+
+class TestCheckpointSign:
+    """The integer sign a checkpoint record is checked by, against the
+    generic route."""
+
+    @given(data=st.data())
+    def test_z_sign_equals_verify(self, data):
+        # a solution, a solution with one entry moved, or any tuple: the
+        # last two are mostly non-solutions
+        t = data.draw(st.sampled_from(_Z_SOLUTIONS))
+        kind = data.draw(st.sampled_from(("solution", "moved", "any")))
+        if kind == "moved":
+            i = data.draw(st.integers(0, len(t) - 1))
+            t = t[:i] + (t[i] + data.draw(st.sampled_from((-2, -1, 1, 2))),) + t[i + 1 :]
+        elif kind == "any":
+            t = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10)))
+        assert _z_sign(t) == Quiddity(Z, t).verify()
+
+    def test_both_signs_occur(self):
+        assert {_z_sign(t) for t in _Z_SOLUTIONS} == {1, -1}
 
 
 class TestLinkToGaussianUnits:
